@@ -5,7 +5,12 @@
 //! traits (and their derive macros, re-exported from the local
 //! `serde_derive`), implemented over an owned JSON-like [`Value`] tree
 //! rather than upstream's streaming serializer/deserializer pair. The local
-//! `serde_json` renders and parses that tree.
+//! `serde_json` parses that tree and renders it pretty-printed.
+//!
+//! Compact JSON skips the tree: [`Serialize::write_json`] appends bytes
+//! straight into a caller-owned buffer. Primitives, strings, `Option`,
+//! references, sequences and derived types emit natively; the remaining
+//! hand-written impls fall back to rendering their [`Value`].
 //!
 //! The derive macros emit the same externally-tagged enum representation as
 //! upstream serde's default, so JSON produced by this stack is shaped like
@@ -58,10 +63,104 @@ impl Error {
     }
 }
 
-/// Types that can be rendered into a [`Value`] tree.
+/// Types that can be rendered into a [`Value`] tree or as compact JSON.
 pub trait Serialize {
     /// Convert `self` into a value tree.
     fn to_value(&self) -> Value;
+
+    /// Append `self` as compact JSON to `out`. The bytes equal the compact
+    /// rendering of [`Self::to_value`]; the default goes through that tree.
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.to_value().write_json(out);
+    }
+}
+
+// The primitive emitters are `#[inline]` so derived impls in other crates
+// inline them: without it every field costs a cross-crate call, which
+// nearly doubled the emit time of a trace entry.
+
+/// Append `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied in bulk; multi-byte UTF-8 passes through unchanged.
+#[inline]
+fn write_json_str(s: &str, out: &mut Vec<u8>) {
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
+            }
+        }
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+/// Append the decimal digits of `n`.
+#[inline]
+fn write_json_u64(mut n: u64, out: &mut Vec<u8>) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Append the decimal digits of `n`, with a leading `-` when negative.
+#[inline]
+fn write_json_i64(n: i64, out: &mut Vec<u8>) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    write_json_u64(n.unsigned_abs(), out);
+}
+
+/// Append `f` as a JSON number: Rust's shortest round-trip text, with
+/// `.0` added to integral values so they stay floats; NaN and the
+/// infinities, which JSON cannot express, become `null`.
+fn write_json_f64(f: f64, out: &mut Vec<u8>) {
+    use std::io::Write;
+    if !f.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    let start = out.len();
+    write!(out, "{f}").expect("writing to a Vec cannot fail");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+/// Append the elements of a sequence as a JSON array.
+fn write_json_seq<'a, T: Serialize + 'a>(xs: impl IntoIterator<Item = &'a T>, out: &mut Vec<u8>) {
+    out.push(b'[');
+    for (i, x) in xs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        x.write_json(out);
+    }
+    out.push(b']');
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -82,6 +181,30 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::U64(n) => write_json_u64(*n, out),
+            Value::I64(n) => write_json_i64(*n, out),
+            Value::F64(f) => write_json_f64(*f, out),
+            Value::Str(s) => write_json_str(s, out),
+            Value::Seq(xs) => write_json_seq(xs, out),
+            Value::Map(entries) => {
+                out.push(b'{');
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    write_json_str(k, out);
+                    out.push(b':');
+                    v.write_json(out);
+                }
+                out.push(b'}');
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
@@ -98,6 +221,8 @@ macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            #[inline]
+            fn write_json(&self, out: &mut Vec<u8>) { write_json_u64(*self as u64, out) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -121,6 +246,8 @@ macro_rules! impl_signed {
                 let n = *self as i64;
                 if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
             }
+            #[inline]
+            fn write_json(&self, out: &mut Vec<u8>) { write_json_i64(*self as i64, out) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -142,6 +269,7 @@ macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::F64(*self as f64) }
+            fn write_json(&self, out: &mut Vec<u8>) { write_json_f64(*self as f64, out) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -161,6 +289,11 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    #[inline]
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
 }
 impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -174,6 +307,10 @@ impl Deserialize for bool {
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 impl Deserialize for char {
@@ -189,6 +326,11 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    #[inline]
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_str(self, out);
+    }
 }
 impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -202,6 +344,11 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    #[inline]
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_str(self, out);
     }
 }
 
@@ -242,6 +389,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -249,6 +400,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.extend_from_slice(b"null"),
         }
     }
 }
@@ -265,6 +423,10 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_seq(self, out);
+    }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
@@ -279,17 +441,29 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_seq(self, out);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_seq(self, out);
+    }
 }
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        write_json_seq(self, out);
     }
 }
 impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {

@@ -21,7 +21,8 @@ enum Item {
     Enum { name: String, variants: Vec<(String, Fields)> },
 }
 
-/// Derive `serde::Serialize` (value-tree flavour).
+/// Derive `serde::Serialize`: `to_value` plus a direct compact-JSON
+/// `write_json` whose bytes equal the rendered tree.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
@@ -228,21 +229,89 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
 // Code generation
 // ----------------------------------------------------------------------
 
+/// A compact-JSON emission plan for `write_json`: literal JSON text runs,
+/// merged and precomputed at expansion time, between field values.
+#[derive(Default)]
+struct JsonPlan {
+    stmts: Vec<String>,
+    lit: String,
+}
+
+impl JsonPlan {
+    fn lit(&mut self, text: &str) {
+        self.lit.push_str(text);
+    }
+
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.stmts
+            .push(format!("::serde::Serialize::write_json({expr}, __out);"));
+    }
+
+    /// `{"k1":v1,"k2":v2}` over `(key, expr)` pairs. Keys are Rust
+    /// identifiers, which never need JSON escaping.
+    fn object<'a>(&mut self, entries: impl Iterator<Item = (&'a str, String)>) {
+        self.lit("{");
+        for (i, (key, expr)) in entries.enumerate() {
+            if i > 0 {
+                self.lit(",");
+            }
+            self.lit(&format!("\"{key}\":"));
+            self.value(&expr);
+        }
+        self.lit("}");
+    }
+
+    /// `[v1,v2]` over element expressions.
+    fn array(&mut self, exprs: impl Iterator<Item = String>) {
+        self.lit("[");
+        for (i, expr) in exprs.enumerate() {
+            if i > 0 {
+                self.lit(",");
+            }
+            self.value(&expr);
+        }
+        self.lit("]");
+    }
+
+    fn flush(&mut self) {
+        if !self.lit.is_empty() {
+            self.stmts.push(format!(
+                "__out.extend_from_slice({:?}.as_bytes());",
+                self.lit
+            ));
+            self.lit.clear();
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.stmts.join(" ")
+    }
+}
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
+            let mut plan = JsonPlan::default();
             let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
+                Fields::Unit => {
+                    plan.lit("null");
+                    "::serde::Value::Null".to_string()
+                }
                 Fields::Tuple(1) => {
+                    plan.value("&self.0");
                     "::serde::Serialize::to_value(&self.0)".to_string()
                 }
                 Fields::Tuple(n) => {
+                    plan.array((0..*n).map(|i| format!("&self.{i}")));
                     let elems: Vec<String> = (0..*n)
                         .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
                         .collect();
                     format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
                 }
                 Fields::Named(fs) => {
+                    plan.object(fs.iter().map(|f| (f.as_str(), format!("&self.{f}"))));
                     let entries: Vec<String> = fs
                         .iter()
                         .map(|f| {
@@ -258,35 +327,51 @@ fn gen_serialize(item: &Item) -> String {
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
+                     fn write_json(&self, __out: &mut ::std::vec::Vec<u8>) {{ {} }}\n\
+                 }}",
+                plan.finish()
             )
         }
         Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|(v, fields)| match fields {
-                    Fields::Unit => format!(
-                        "{name}::{v} => \
-                         ::serde::Value::Str(::std::string::String::from({v:?})),"
-                    ),
+            let mut arms = Vec::new();
+            let mut json_arms = Vec::new();
+            for (v, fields) in variants {
+                let mut plan = JsonPlan::default();
+                let (pattern, value) = match fields {
+                    Fields::Unit => {
+                        plan.lit(&format!("\"{v}\""));
+                        (
+                            format!("{name}::{v}"),
+                            format!("::serde::Value::Str(::std::string::String::from({v:?}))"),
+                        )
+                    }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                        plan.lit(&format!("{{\"{v}\":"));
                         let payload = if *n == 1 {
+                            plan.value("__f0");
                             "::serde::Serialize::to_value(__f0)".to_string()
                         } else {
+                            plan.array(binds.iter().cloned());
                             let elems: Vec<String> = binds
                                 .iter()
                                 .map(|b| format!("::serde::Serialize::to_value({b})"))
                                 .collect();
                             format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
                         };
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), {payload})]),",
-                            binds.join(", ")
+                        plan.lit("}");
+                        (
+                            format!("{name}::{v}({})", binds.join(", ")),
+                            format!(
+                                "::serde::Value::Map(::std::vec![\
+                                 (::std::string::String::from({v:?}), {payload})])"
+                            ),
                         )
                     }
                     Fields::Named(fs) => {
+                        plan.lit(&format!("{{\"{v}\":"));
+                        plan.object(fs.iter().map(|f| (f.as_str(), f.clone())));
+                        plan.lit("}");
                         let entries: Vec<String> = fs
                             .iter()
                             .map(|f| {
@@ -296,23 +381,31 @@ fn gen_serialize(item: &Item) -> String {
                                 )
                             })
                             .collect();
-                        format!(
-                            "{name}::{v} {{ {} }} => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), \
-                             ::serde::Value::Map(::std::vec![{}]))]),",
-                            fs.join(", "),
-                            entries.join(", ")
+                        (
+                            format!("{name}::{v} {{ {} }}", fs.join(", ")),
+                            format!(
+                                "::serde::Value::Map(::std::vec![\
+                                 (::std::string::String::from({v:?}), \
+                                 ::serde::Value::Map(::std::vec![{}]))])",
+                                entries.join(", ")
+                            ),
                         )
                     }
-                })
-                .collect();
+                };
+                arms.push(format!("{pattern} => {value},"));
+                json_arms.push(format!("{pattern} => {{ {} }}", plan.finish()));
+            }
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{\n\
                          match self {{\n{}\n}}\n\
                      }}\n\
+                     fn write_json(&self, __out: &mut ::std::vec::Vec<u8>) {{\n\
+                         match self {{\n{}\n}}\n\
+                     }}\n\
                  }}",
-                arms.join("\n")
+                arms.join("\n"),
+                json_arms.join("\n")
             )
         }
     }

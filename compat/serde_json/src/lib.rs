@@ -1,8 +1,9 @@
 //! Offline JSON rendering/parsing over the workspace `serde` subset.
 //!
-//! Provides the three entry points this repository uses — [`to_string`],
-//! [`to_string_pretty`], [`from_str`] — implemented over the owned
-//! [`serde::Value`] tree.
+//! Provides the entry points this repository uses. [`to_string`] and
+//! [`to_writer`] emit compact JSON straight from
+//! [`Serialize::write_json`]; [`to_string_pretty`] renders the owned
+//! [`serde::Value`] tree, and [`from_str`] parses into one.
 
 #![forbid(unsafe_code)]
 
@@ -12,9 +13,19 @@ use serde::{Deserialize, Serialize};
 
 /// Render a serializable value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    let mut out = Vec::new();
+    value.write_json(&mut out);
+    String::from_utf8(out).map_err(Error::msg)
+}
+
+/// Write a serializable value as compact JSON to `writer`.
+pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
+    mut writer: W,
+    value: &T,
+) -> Result<(), Error> {
+    let mut out = Vec::new();
+    value.write_json(&mut out);
+    writer.write_all(&out).map_err(Error::msg)
 }
 
 /// Render a serializable value as indented JSON (2 spaces, like upstream).
@@ -37,7 +48,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 // ----------------------------------------------------------------------
-// Rendering
+// Rendering the value tree: the pretty printer, and with `indent: None`
+// the test oracle for the compact bytes of `write_json`.
 // ----------------------------------------------------------------------
 
 fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize) {
@@ -368,5 +380,185 @@ mod tests {
     fn float_keeps_decimal_point() {
         let text = to_string(&1.0f64).unwrap();
         assert_eq!(text, "1.0");
+    }
+}
+
+/// `write_json` bytes pinned against the value-tree renderer: for every
+/// type, the compact stream equals the rendered tree of `to_value`, and
+/// so does `Value`'s own `write_json` over that tree.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::{BTreeMap, HashMap, VecDeque};
+    use std::time::Duration;
+
+    fn tree(v: &Value) -> String {
+        let mut out = String::new();
+        write_value(v, &mut out, None, 0);
+        out
+    }
+
+    fn check<T: Serialize + ?Sized>(v: &T) -> String {
+        let value = v.to_value();
+        let expected = tree(&value);
+        assert_eq!(to_string(v).unwrap(), expected, "derived/native stream");
+        assert_eq!(to_string(&value).unwrap(), expected, "Value stream");
+        let mut sink = Vec::new();
+        to_writer(&mut sink, v).unwrap();
+        assert_eq!(sink, expected.as_bytes(), "to_writer");
+        expected
+    }
+
+    #[test]
+    fn string_escapes() {
+        assert_eq!(check("say \"hi\""), r#""say \"hi\"""#);
+        assert_eq!(check("back\\slash"), r#""back\\slash""#);
+        assert_eq!(check("a\nb\rc\td"), r#""a\nb\rc\td""#);
+        assert_eq!(
+            check("\u{1}\u{1f}\u{8}\u{c}"),
+            r#""\u0001\u001f\u0008\u000c""#
+        );
+        assert_eq!(
+            check("h\u{e9}llo \u{2713} \u{1d11e}"),
+            "\"h\u{e9}llo \u{2713} \u{1d11e}\""
+        );
+        check("");
+        check("\u{7f}/<>");
+        check(&"\"\\\n".to_string());
+        check("\u{e9}\"\u{1d11e}\u{0}tail");
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        check(every_ascii.as_str());
+        for c in (0u32..0x80).chain([0xe9, 0x2028, 0xfeff, 0x1f600]) {
+            check(&char::from_u32(c).unwrap());
+        }
+    }
+
+    #[test]
+    fn floats() {
+        assert_eq!(check(&1.0f64), "1.0");
+        assert_eq!(check(&-3.0f64), "-3.0");
+        assert_eq!(check(&-0.0f64), "-0.0");
+        assert_eq!(check(&f64::NAN), "null");
+        assert_eq!(check(&f64::INFINITY), "null");
+        assert_eq!(check(&f64::NEG_INFINITY), "null");
+        assert_eq!(check(&0.1f64), "0.1");
+        for f in [
+            1e300,
+            1.5e-7,
+            1e21,
+            123.456,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ] {
+            check(&f);
+            check(&-f);
+        }
+        check(&1.1f32);
+        check(&f32::MAX);
+        check(&vec![0.5f64, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    fn integers_options_and_collections() {
+        assert_eq!(check(&-1i64), "-1");
+        assert_eq!(check(&i64::MIN), "-9223372036854775808");
+        check(&i64::MAX);
+        check(&-128i8);
+        check(&0i32);
+        assert_eq!(check(&u64::MAX), "18446744073709551615");
+        check(&0u8);
+        check(&usize::MAX);
+        assert_eq!(check(&Option::<u8>::None), "null");
+        check(&Some("x"));
+        assert_eq!(check(&Vec::<u8>::new()), "[]");
+        check(&vec![vec![1u8], vec![]]);
+        check(&[1u16, 2, 3][..]);
+        check(&[true, false]);
+        check(&VecDeque::from(vec![-1i32, 2]));
+        check(&(7u8, "a", true, -2.5f64));
+        check(&true);
+    }
+
+    #[test]
+    fn maps_and_durations_fall_back_to_the_tree() {
+        let mut m = HashMap::new();
+        for k in ["zeta", "alpha", "mid", "beta"] {
+            m.insert(k.to_string(), k.len());
+        }
+        assert_eq!(check(&m), r#"{"alpha":5,"beta":4,"mid":3,"zeta":4}"#);
+        assert_eq!(check(&HashMap::<String, u8>::new()), "{}");
+        let b: BTreeMap<String, Vec<u8>> = [("k\"".to_string(), vec![1])].into();
+        check(&b);
+        assert_eq!(check(&Duration::new(5, 7)), r#"{"secs":5,"nanos":7}"#);
+        check(&Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::Null, Value::I64(-4)])),
+            ("b".into(), Value::Map(vec![])),
+        ]));
+    }
+
+    #[derive(Serialize)]
+    struct Unit;
+
+    #[derive(Serialize)]
+    struct Newtype(String);
+
+    #[derive(Serialize)]
+    struct Pair(u8, i32);
+
+    #[derive(Serialize)]
+    struct EmptyTuple();
+
+    #[derive(Serialize)]
+    struct Named {
+        a: u8,
+        b: Option<String>,
+        c: Vec<f64>,
+        d: Pair,
+    }
+
+    #[derive(Serialize)]
+    struct EmptyNamed {}
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        Newtype(String),
+        Tuple(u8, bool),
+        EmptyTuple(),
+        Named { x: i64, inner: Named },
+        EmptyNamed {},
+    }
+
+    #[test]
+    fn derived_shapes() {
+        let named = || Named {
+            a: 1,
+            b: Some("q\"".into()),
+            c: vec![1.0, 0.25],
+            d: Pair(2, -3),
+        };
+        assert_eq!(check(&Unit), "null");
+        assert_eq!(check(&Newtype("n".into())), r#""n""#);
+        assert_eq!(check(&Pair(4, -5)), "[4,-5]");
+        assert_eq!(check(&EmptyTuple()), "[]");
+        assert_eq!(
+            check(&named()),
+            r#"{"a":1,"b":"q\"","c":[1.0,0.25],"d":[2,-3]}"#
+        );
+        assert_eq!(check(&EmptyNamed {}), "{}");
+        assert_eq!(check(&Shape::Unit), r#""Unit""#);
+        assert_eq!(check(&Shape::Newtype("v".into())), r#"{"Newtype":"v"}"#);
+        assert_eq!(check(&Shape::Tuple(9, false)), r#"{"Tuple":[9,false]}"#);
+        assert_eq!(check(&Shape::EmptyTuple()), r#"{"EmptyTuple":[]}"#);
+        assert_eq!(
+            check(&Shape::Named {
+                x: -7,
+                inner: named()
+            }),
+            r#"{"Named":{"x":-7,"inner":{"a":1,"b":"q\"","c":[1.0,0.25],"d":[2,-3]}}}"#
+        );
+        assert_eq!(check(&Shape::EmptyNamed {}), r#"{"EmptyNamed":{}}"#);
+        check(&vec![Shape::Unit, Shape::EmptyNamed {}]);
     }
 }

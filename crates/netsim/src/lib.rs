@@ -49,6 +49,7 @@
 
 pub mod event;
 pub mod fleetmetrics;
+mod fnv;
 pub mod hss;
 pub mod inject;
 pub mod metrics;

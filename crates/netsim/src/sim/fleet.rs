@@ -48,6 +48,7 @@ use rand::Rng;
 use cellstack::{PdpDeactivationCause, RatSystem, UpdateKind};
 
 use crate::fleetmetrics::MetricsRegistry;
+use crate::fnv::fnv1a;
 use crate::inject::{Adversary, Campaign};
 use crate::metrics::Metrics;
 use crate::node::{CarrierCore, Ue, UeId};
@@ -338,7 +339,7 @@ impl UeOutcome {
             self.metrics.stuck_in_3g_ms.len(),
             self.trace.len(),
             self.trace.evicted(),
-            fnv1a(self.trace.to_jsonl().as_bytes()),
+            self.trace.jsonl_fnv1a(),
         )
     }
 
@@ -431,16 +432,6 @@ impl FleetReport {
         out.push_str(&self.metrics.render());
         out
     }
-}
-
-/// FNV-1a over bytes (stable, dependency-free content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Derive the per-UE seed from the fleet seed and the UE index.
@@ -1188,6 +1179,23 @@ mod tests {
         let c = small_fleet(3).0.digest();
         assert_eq!(a, b, "1 vs 2 threads");
         assert_eq!(a, c, "1 vs 3 threads");
+    }
+
+    #[test]
+    fn line_hash_matches_the_legacy_formula() {
+        let mut cfg = FleetConfig::new(2014, 2, 1, small_specs());
+        cfg.trace_capacity = Some(8);
+        let (_, ues) = FleetSim::new(cfg).run_collect();
+        assert!(ues.iter().any(|u| u.trace.evicted() > 0), "rings evict");
+        for u in &ues {
+            let line = u.digest_line();
+            let legacy_fnv = fnv1a(u.trace.legacy_jsonl().as_bytes());
+            assert!(
+                line.ends_with(&format!(" trace_fnv={legacy_fnv:016x}")),
+                "{line}"
+            );
+            assert_eq!(u.line_hash(), fnv1a(line.as_bytes()));
+        }
     }
 
     #[test]

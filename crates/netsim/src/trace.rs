@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use cellstack::{NasMessage, Protocol, RatSystem};
 
+use crate::fnv::Fnv1a;
 use crate::inject::{Leg, NodeId};
 use crate::time::SimTime;
 
@@ -500,11 +501,35 @@ impl TraceCollector {
 
     /// Serialize to JSON lines for offline analysis.
     pub fn to_jsonl(&self) -> String {
-        self.live()
-            .iter()
-            .map(|e| serde_json::to_string(e).expect("trace entries serialize"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = Vec::new();
+        self.stream_jsonl(&mut out, |_| {});
+        String::from_utf8(out).expect("compact JSON is UTF-8")
+    }
+
+    /// FNV-1a of [`Self::to_jsonl`]'s bytes, streamed: each entry is
+    /// rendered into one reused buffer and hashed, so no JSONL string is
+    /// ever built. The fleet digest pins every UE's retained trace with it.
+    pub(crate) fn jsonl_fnv1a(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        let mut buf = Vec::new();
+        self.stream_jsonl(&mut buf, |chunk| {
+            h.write(chunk);
+            chunk.clear();
+        });
+        h.finish()
+    }
+
+    /// Append the JSONL rendering to `buf` one entry at a time (the `\n`
+    /// separator first, from the second entry on), handing `buf` to
+    /// `flush` after each entry.
+    fn stream_jsonl(&self, buf: &mut Vec<u8>, mut flush: impl FnMut(&mut Vec<u8>)) {
+        for (i, e) in self.live().iter().enumerate() {
+            if i > 0 {
+                buf.push(b'\n');
+            }
+            e.write_json(buf);
+            flush(buf);
+        }
     }
 
     /// Resident bytes of the collector's backing storage (entry headers
@@ -528,9 +553,24 @@ impl TraceCollector {
 }
 
 #[cfg(test)]
+impl TraceCollector {
+    /// The pre-streaming JSONL path, kept as the test oracle for
+    /// [`Self::to_jsonl`] and [`Self::jsonl_fnv1a`]: each entry's value
+    /// tree rendered into its own string, then joined with `\n`.
+    pub(crate) fn legacy_jsonl(&self) -> String {
+        self.live()
+            .iter()
+            .map(|e| serde_json::to_string(&e.to_value()).unwrap())
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use cellstack::UpdateKind;
+    use crate::fnv::fnv1a;
+    use cellstack::{EmmCause, UpdateKind};
 
     fn sample() -> TraceCollector {
         let mut t = TraceCollector::new();
@@ -699,6 +739,114 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let back: TraceEntry = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(back, t.entries()[0]);
+    }
+
+    /// Every [`TraceEvent`] variant and every [`FaultKind`], plus a note
+    /// whose description needs JSON escaping.
+    fn record_every_variant(t: &mut TraceCollector) {
+        let fault = |kind, leg, msg| TraceEvent::Fault(FaultEvent::on_leg(kind, leg, msg));
+        let events = [
+            TraceEvent::Note,
+            TraceEvent::Nas {
+                uplink: true,
+                msg: NasMessage::AttachRequest {
+                    system: RatSystem::Lte4g,
+                },
+            },
+            TraceEvent::Nas {
+                uplink: false,
+                msg: NasMessage::UpdateReject(UpdateKind::RoutingArea, EmmCause::NetworkFailure),
+            },
+            TraceEvent::Registration {
+                registered: false,
+                system: RatSystem::Utran3g,
+            },
+            TraceEvent::CampedOn(RatSystem::Utran3g),
+            TraceEvent::Call(CallPhase::Failed),
+            TraceEvent::RadioConfig { allow_64qam: true },
+            TraceEvent::Throughput {
+                uplink: false,
+                with_call: true,
+                kbps: 12_345,
+            },
+            fault(FaultKind::Drop, Leg::Ul4g, NasMessage::AttachComplete),
+            fault(FaultKind::Corrupt, Leg::Dl3gCs, NasMessage::CallConnect),
+            fault(
+                FaultKind::Reorder { hold_ms: 250 },
+                Leg::Ul3gPs,
+                NasMessage::DetachRequest,
+            ),
+            TraceEvent::Fault(FaultEvent::node_restart(NodeId::Mme)),
+            TraceEvent::Hazard(HazardKind::S1ContextLoss),
+            TraceEvent::Hazard(HazardKind::S4HolBlocked),
+            TraceEvent::Hazard(HazardKind::S6FailurePropagated),
+            TraceEvent::Hazard(HazardKind::ImplicitDetach),
+        ];
+        for (i, event) in events.into_iter().enumerate() {
+            let desc = match event {
+                TraceEvent::Note => {
+                    "note: \"quoted\" \\ tab\there\nline 2 \u{1} \u{e9}\u{2713}".into()
+                }
+                _ => format!("entry {i}"),
+            };
+            t.record_event(
+                SimTime::from_millis(i as u64 * 1_001),
+                TraceType::State,
+                RatSystem::Lte4g,
+                Protocol::Emm,
+                desc,
+                event,
+            );
+        }
+    }
+
+    #[test]
+    fn every_variant_is_recorded() {
+        let mut t = TraceCollector::new();
+        record_every_variant(&mut t);
+        let mut events = [false; 9];
+        let mut faults = [false; 4];
+        for e in t.entries() {
+            events[match &e.event {
+                TraceEvent::Note => 0,
+                TraceEvent::Nas { .. } => 1,
+                TraceEvent::Registration { .. } => 2,
+                TraceEvent::CampedOn(_) => 3,
+                TraceEvent::Call(_) => 4,
+                TraceEvent::RadioConfig { .. } => 5,
+                TraceEvent::Throughput { .. } => 6,
+                TraceEvent::Fault(f) => {
+                    faults[match f.kind {
+                        FaultKind::Drop => 0,
+                        FaultKind::Corrupt => 1,
+                        FaultKind::Reorder { .. } => 2,
+                        FaultKind::NodeRestart => 3,
+                    }] = true;
+                    7
+                }
+                TraceEvent::Hazard(_) => 8,
+            }] = true;
+        }
+        assert!(events.iter().all(|&x| x), "{events:?}");
+        assert!(faults.iter().all(|&x| x), "{faults:?}");
+    }
+
+    #[test]
+    fn streamed_digest_matches_the_legacy_string_path() {
+        for cap in [None, Some(8), Some(0)] {
+            let mut t = TraceCollector::with_capacity(cap);
+            record_every_variant(&mut t);
+            record_every_variant(&mut t);
+            let legacy = t.legacy_jsonl();
+            assert_eq!(t.to_jsonl(), legacy, "capacity {cap:?}");
+            assert_eq!(
+                t.jsonl_fnv1a(),
+                fnv1a(legacy.as_bytes()),
+                "capacity {cap:?}"
+            );
+            assert_eq!(t.len(), cap.unwrap_or(32), "capacity {cap:?}");
+        }
+        assert_eq!(TraceCollector::new().jsonl_fnv1a(), fnv1a(b""));
     }
 
     #[test]
