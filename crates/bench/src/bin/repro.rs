@@ -21,26 +21,34 @@ fn main() {
     let mut trace: Option<usize> = Some(0);
     let mut i = 1;
     while i < args.len() {
+        let value = || {
+            args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
+                eprintln!("{} needs a value", args[i]);
+                std::process::exit(2);
+            })
+        };
         match args[i].as_str() {
             "--exp" => {
-                exp = args.get(i + 1).cloned().unwrap_or_else(|| "all".into());
+                exp = value().to_string();
                 i += 2;
             }
             "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(2014);
+                seed = value().parse().unwrap_or_else(|_| {
+                    eprintln!("--seed: `{}` is not a number", value());
+                    std::process::exit(2);
+                });
                 i += 2;
             }
             "--trace" => {
-                trace = match args.get(i + 1).map(String::as_str) {
-                    Some("unbounded") => None,
-                    Some("count-only") | None => Some(0),
-                    Some(n) => match n.parse() {
+                trace = match value() {
+                    "unbounded" => None,
+                    "count-only" => Some(0),
+                    n => match n.parse() {
                         Ok(cap) => Some(cap),
                         Err(_) => {
-                            eprintln!("--trace takes unbounded, count-only, or a ring size");
+                            eprintln!(
+                                "--trace: `{n}` is not unbounded, count-only, or a ring size"
+                            );
                             std::process::exit(2);
                         }
                     },
@@ -258,35 +266,14 @@ fn section(title: &str) {
 }
 
 fn screening() {
+    use cnetverifier::{render_screening, Execution, ScreenPlan};
+
     section("Screening phase (S1-S4 via model checking, paper Section 3.2/4)");
-    let report = cnetverifier::run_screening();
-    for run in &report.runs {
-        println!(
-            "model {:<34} {} ({:.0} states/s)",
-            run.model_name,
-            run.stats,
-            run.stats.states_per_sec()
-        );
-        for f in &run.findings {
-            println!(
-                "  -> {}: {} [{}; {} steps{}]",
-                f.instance,
-                f.instance.problem(),
-                f.property,
-                f.steps,
-                if f.lasso { "; lasso" } else { "" }
-            );
-            for (i, step) in f.witness.iter().enumerate() {
-                println!("       {:>2}. {step}", i + 1);
-            }
-        }
-    }
-    let remedied = cnetverifier::run_screening_remedied();
-    println!(
-        "\nwith the Section-8 remedies applied: {} finding(s) across {} models (expected 0)",
-        remedied.findings().count(),
-        remedied.runs.len()
-    );
+    let report = ScreenPlan::paper().run(Execution::Concurrent);
+    print!("{}", render_screening(&report));
+    section("Screening with the Section-8 remedies applied (expected: 0 findings)");
+    let remedied = ScreenPlan::remedied().run(Execution::Concurrent);
+    print!("{}", render_screening(&remedied));
 }
 
 /// `--exp spec` — the specl front-end cross-check. Compiles every model
@@ -623,7 +610,7 @@ fn faults(seed: u64) {
 
     // Screening with the TS 24.301 timers modeled: the S2 wedge is gone,
     // the S1/S6 design defects are not.
-    let sr = cnetverifier::run_screening_with_retries();
+    let sr = cnetverifier::ScreenPlan::with_retries().run(cnetverifier::Execution::Concurrent);
     println!();
     for run in &sr.runs {
         println!(
@@ -637,62 +624,19 @@ fn faults(seed: u64) {
 
 fn validation(seed: u64) {
     section("Validation phase over simulated carriers (paper Section 3.3/5/6)");
-    for v in cnetverifier::validate_all(seed) {
-        println!(
-            "{} on {:>5}: {:<12} {}",
-            v.instance,
-            v.operator,
-            v.verdict.to_string(),
-            v.evidence
-        );
-    }
+    let outcomes = cnetverifier::validate_all(seed);
+    print!("{}", cnetverifier::render_validation(&outcomes));
 }
 
 /// `--exp diagnose` — the S1-S6 x {OP-I, OP-II} diagnosis matrix from the
 /// runtime-verification monitors, with the matched event span backing every
-/// verdict. Screening runs its deterministic (sequential-engine) variant and
-/// the monitor replay is a pure function of the seed, so for a fixed
-/// `--seed` this output is byte-stable and CI diffs it against a golden.
+/// verdict. Screening runs the paper plan sequentially and the monitor
+/// replay is a pure function of the seed, so for a fixed `--seed` this
+/// output is byte-stable and CI diffs it against a golden.
 fn diagnose(seed: u64) {
     section("Diagnosis matrix — monitor verdicts over OP-I / OP-II");
     let diagnoses = cnetverifier::diagnose(seed);
-    println!(
-        "{:<4} {:>12} {:>12} {:>10} {:>13}  classification",
-        "inst", "OP-I", "OP-II", "screening", "witness-sig"
-    );
-    for d in &diagnoses {
-        let witness = d
-            .witness_verdict
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:<4} {:>12} {:>12} {:>10} {:>13}  {}",
-            d.instance.to_string(),
-            d.outcomes[0].verdict.to_string(),
-            d.outcomes[1].verdict.to_string(),
-            if d.predicted_by_screening { "predicted" } else { "-" },
-            witness,
-            d.class
-        );
-    }
-    for d in &diagnoses {
-        println!();
-        for o in &d.outcomes {
-            println!(
-                "{} on {:>5}: {:<12} {}",
-                o.instance,
-                o.operator,
-                o.verdict.to_string(),
-                o.evidence
-            );
-            for line in o.span_lines() {
-                println!("    {line}");
-            }
-            if let Some(r) = &o.refutation {
-                println!("    refuted by: {r}");
-            }
-        }
-    }
+    print!("{}", cnetverifier::render_diagnosis(&diagnoses));
 }
 
 fn figure4(seed: u64) {

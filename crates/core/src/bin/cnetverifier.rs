@@ -7,48 +7,74 @@
 //! cnetverifier sample   [--walks N] [--seed N]      # §3.2.1 random sampling
 //! cnetverifier report                               # Tables 1/2/3/4 + insights
 //! ```
+//!
+//! An unknown flag, a missing value or a value that is not a number exits
+//! 2 with a message naming the flag.
+
+use std::collections::HashMap;
 
 use cnetverifier::scenario::UsageModel;
-use cnetverifier::{props, validate_all};
+use cnetverifier::{props, validate_all, Execution, ScreenPlan};
 use mck::RandomWalk;
+
+const USAGE: &str = "usage: cnetverifier <screen [--remedied] [--json] | \
+                     validate [--seed N] [--json] | diagnose [--seed N] [--json] | \
+                     sample [--walks N] [--seed N] | report>";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
+    let (cmd, rest) = args
+        .split_first()
+        .unwrap_or_else(|| fail("missing command"));
+    let (switches, numeric): (&[&str], &[&str]) = match cmd.as_str() {
+        "screen" => (&["--remedied", "--json"], &[]),
+        "validate" | "diagnose" => (&["--json"], &["--seed"]),
+        "sample" => (&[], &["--walks", "--seed"]),
+        "report" => (&[], &[]),
+        other => fail(&format!("unknown command `{other}`")),
     };
-
-    match cmd {
-        "screen" => screen(flag("--remedied"), flag("--json")),
-        "validate" => validate(value("--seed").unwrap_or(2014), flag("--json")),
-        "diagnose" => diagnose(value("--seed").unwrap_or(2014), flag("--json")),
-        "sample" => sample(
-            value("--walks").unwrap_or(2_000) as usize,
-            value("--seed").unwrap_or(0xCE11),
-        ),
-        "report" => report(),
-        _ => {
-            eprintln!(
-                "usage: cnetverifier <screen [--remedied] [--json] | \
-                 validate [--seed N] [--json] | diagnose [--seed N] [--json] | \
-                 sample [--walks N] [--seed N] | report>"
-            );
-            std::process::exit(2);
+    let mut given = Vec::new();
+    let mut values = HashMap::new();
+    let mut it = rest.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if switches.contains(&arg) {
+            given.push(arg);
+        } else if numeric.contains(&arg) {
+            let v = it
+                .next()
+                .unwrap_or_else(|| fail(&format!("{arg} needs a value")));
+            let n: u64 = v
+                .parse()
+                .unwrap_or_else(|_| fail(&format!("{arg}: `{v}` is not a number")));
+            values.insert(arg, n);
+        } else {
+            fail(&format!("unknown argument `{arg}`"));
         }
+    }
+    let flag = |name: &str| given.contains(&name);
+    let value = |name: &str, default: u64| values.get(name).copied().unwrap_or(default);
+
+    match cmd.as_str() {
+        "screen" => screen(flag("--remedied"), flag("--json")),
+        "validate" => validate(value("--seed", 2014), flag("--json")),
+        "diagnose" => diagnose(value("--seed", 2014), flag("--json")),
+        "sample" => sample(value("--walks", 2_000) as usize, value("--seed", 0xCE11)),
+        _ => report(),
     }
 }
 
+fn fail(msg: &str) -> ! {
+    eprintln!("cnetverifier: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn screen(remedied: bool, json: bool) {
-    let report = if remedied {
-        cnetverifier::run_screening_remedied()
+    let plan = if remedied {
+        ScreenPlan::remedied()
     } else {
-        cnetverifier::run_screening()
+        ScreenPlan::paper()
     };
+    let report = plan.run(Execution::Concurrent);
     if json {
         let findings: Vec<_> = report.findings().collect();
         println!(
@@ -57,38 +83,8 @@ fn screen(remedied: bool, json: bool) {
         );
         return;
     }
-    println!(
-        "screening {} model families ({} states total):\n",
-        report.runs.len(),
-        report.total_states()
-    );
-    for run in &report.runs {
-        println!("  {:<36} {}", run.model_name, run.stats);
-        for f in &run.findings {
-            println!("    -> {}: {}", f.instance, f.instance.problem());
-            println!(
-                "       violates {} ({} steps{})",
-                f.property,
-                f.steps,
-                if f.lasso { ", lasso" } else { "" }
-            );
-            for (i, step) in f.witness.iter().enumerate() {
-                println!("         {:>2}. {step}", i + 1);
-            }
-            let insight = cnetverifier::insight_for(f.instance);
-            println!("       insight {}: {}", insight.number, insight.text);
-        }
-    }
-    let n = report.findings().count();
-    println!(
-        "\n{n} finding(s).{}",
-        if remedied && n == 0 {
-            " The Section-8 remedies hold."
-        } else {
-            ""
-        }
-    );
-    if !remedied && n == 0 {
+    print!("{}", cnetverifier::render_screening(&report));
+    if !remedied && report.findings().count() == 0 {
         std::process::exit(1); // screening is expected to find S1-S4
     }
 }
@@ -102,23 +98,7 @@ fn validate(seed: u64, json: bool) {
         );
         return;
     }
-    for v in &outcomes {
-        println!(
-            "{} on {:>5}: {:<12} {}",
-            v.instance,
-            v.operator,
-            v.verdict.to_string(),
-            v.evidence
-        );
-        for line in v.span_lines() {
-            println!("      {line}");
-        }
-    }
-    let observed = outcomes.iter().filter(|v| v.observed).count();
-    println!(
-        "\n{observed}/{} instance-carrier pairs confirmed.",
-        outcomes.len()
-    );
+    print!("{}", cnetverifier::render_validation(&outcomes));
 }
 
 fn diagnose(seed: u64, json: bool) {
@@ -130,21 +110,7 @@ fn diagnose(seed: u64, json: bool) {
         );
         return;
     }
-    for d in &diagnoses {
-        let witness = d
-            .witness_verdict
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{}: {} (screening prediction: {}, compiled witness: {witness})",
-            d.instance,
-            d.class,
-            if d.predicted_by_screening { "yes" } else { "no" }
-        );
-        for o in &d.outcomes {
-            println!("  {:>5}: {:<12} {}", o.operator, o.verdict.to_string(), o.evidence);
-        }
-    }
+    print!("{}", cnetverifier::render_diagnosis(&diagnoses));
 }
 
 fn sample(walks: usize, seed: u64) {

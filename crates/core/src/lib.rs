@@ -19,21 +19,23 @@
 //!   `cellstack`, channels from `mck`), one per scenario family;
 //! * [`scenario`] — the combined usage model and its random sampler
 //!   (§3.2.1);
-//! * [`screening`] — runs the checker and extracts [`findings::Finding`]s
-//!   for S1–S4;
+//! * [`screening`] — runs the checker over a [`ScreenPlan`] (the table of
+//!   screened models) and extracts [`findings::Finding`]s for S1–S4;
 //! * [`validation`] — reproduces each counterexample scenario on the
 //!   `netsim` simulated carriers (OP-I / OP-II), drives the `monitor`
 //!   crate's signature automata over the typed traces, and uncovers the
 //!   operational slips S5 and S6; [`validation::diagnose`] classifies
 //!   every instance as design defect vs operational slip;
-//! * [`report`] — renders the paper's Table 1/3/4.
+//! * [`report`] — renders the paper's Table 1/3/4; [`render_screening`],
+//!   [`render_validation`] and [`render_diagnosis`] render the two phases'
+//!   reports for both binaries.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use cnetverifier::{screening, findings::Instance};
+//! use cnetverifier::{findings::Instance, Execution, ScreenPlan};
 //!
-//! let report = screening::run_screening();
+//! let report = ScreenPlan::paper().run(Execution::Concurrent);
 //! // The four design defects the paper reports:
 //! for inst in [Instance::S1, Instance::S2, Instance::S3, Instance::S4] {
 //!     let finding = report.finding(inst).expect("found by screening");
@@ -62,13 +64,11 @@ pub use remedydiff::{
     render_overlay_agreement, DiffRow, FaultCampaign, OverlayCheck, PropDiff,
 };
 pub use screening::{
-    fiveg_corpus_check, load_specs, run_screening, run_screening_budgeted,
-    run_screening_deterministic, run_screening_remedied, run_screening_with_retries,
-    run_spec_screening, spec_agreement, sweep_timer_scales, CorpusCheck, LatticeDiagnosis,
-    LatticePoint, LoadedSpec, ModelRun, ScreenBudget, ScreeningReport, SpecAgreement,
-    TimingLattice,
+    fiveg_corpus_check, load_specs, render_screening, run_spec_screening, spec_agreement,
+    sweep_timer_scales, CorpusCheck, Execution, LatticeDiagnosis, LatticePoint, LoadedSpec,
+    ModelRun, ScreenBudget, ScreenPlan, ScreeningReport, SpecAgreement, TimingLattice,
 };
 pub use validation::{
-    diagnose, diagnose_against, validate_all, validate_instance, DefectClass, Diagnosis,
-    ValidationOutcome,
+    diagnose, diagnose_against, render_diagnosis, render_validation, validate_all,
+    validate_instance, DefectClass, Diagnosis, ValidationOutcome,
 };

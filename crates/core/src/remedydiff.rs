@@ -31,10 +31,11 @@
 //! compiled result against its reference (the hand-written remedied spec
 //! or Rust model).
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use mck::{ChanSemantics, Checker, Model, SearchStrategy};
+use mck::{ChanSemantics, CheckResult, Model, SearchStrategy};
 use remedies::{ChannelSpec, Overlayable, OverlayEdit, RemedyClass, RemedyOverlay};
 
 use crate::models::attach::AttachModel;
@@ -43,6 +44,7 @@ use crate::models::csfb_rrc::CsfbRrcModel;
 use crate::models::holblock::HolBlockModel;
 use crate::models::switchctx::SwitchContextModel;
 use crate::props;
+use crate::screening::{exhaustive, states_and_witness};
 
 /// A named perturbation applied to the *base* model before the remedy:
 /// the screening-side analogue of the fleet's fault campaigns. Campaign
@@ -139,47 +141,10 @@ impl DiffRow {
     }
 }
 
-/// Exhaustive profile of one model: unique states plus every recorded
-/// violation as (property, witness length).
-struct Profile {
-    states: u64,
-    violations: Vec<(String, usize)>,
-}
-
-fn profile<M>(model: &M, strategy: SearchStrategy) -> Profile
-where
-    M: Model + Sync + Clone,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-{
-    let result = Checker::new(model.clone()).strategy(strategy).run();
-    assert!(result.complete, "differential profiles must be exhaustive");
-    Profile {
-        states: result.stats.unique_states,
-        violations: result
-            .violations
-            .iter()
-            .map(|v| (v.property.to_string(), v.path.len()))
-            .collect(),
-    }
-}
-
-/// The violated-property set found by `strategy`, for engine cross-checks.
-fn violated_set<M>(model: &M, strategy: SearchStrategy) -> Vec<String>
-where
-    M: Model + Sync + Clone,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-{
-    let result = Checker::new(model.clone()).strategy(strategy).run();
-    assert!(result.complete, "cross-check runs must be exhaustive");
-    let mut v: Vec<String> = result
-        .violations
-        .iter()
-        .map(|x| x.property.to_string())
-        .collect();
-    v.sort();
-    v
+/// The violated-property set of an exhaustive run, for engine
+/// cross-checks.
+fn violated<M: Model>(result: &CheckResult<M>) -> BTreeSet<&'static str> {
+    result.violations.iter().map(|v| v.property).collect()
 }
 
 fn apply_edits<T: Overlayable>(what: &str, base: &T, edits: &[OverlayEdit]) -> T {
@@ -219,32 +184,22 @@ fn diff_scenario<M>(
     let prop_names: Vec<&'static str> = base.properties().iter().map(|p| p.name).collect();
     for campaign in campaigns {
         let campaigned = apply_edits(campaign.name, base, &campaign.edits);
-        let base_profile = profile(&campaigned, canonical);
+        let base_result = exhaustive(campaigned.clone(), canonical);
         if let Some(engine) = cross_engine {
             assert_eq!(
-                violated_set(&campaigned, engine),
-                {
-                    let mut v: Vec<String> =
-                        base_profile.violations.iter().map(|x| x.0.clone()).collect();
-                    v.sort();
-                    v
-                },
+                violated(&exhaustive(campaigned.clone(), engine)),
+                violated(&base_result),
                 "{scenario}/{}: engines disagree on the base violated set",
                 campaign.name
             );
         }
         for remedy in remedies_list {
             let remedied = remedy.apply(&campaigned);
-            let rem_profile = profile(&remedied, canonical);
+            let rem_result = exhaustive(remedied.clone(), canonical);
             if let Some(engine) = cross_engine {
                 assert_eq!(
-                    violated_set(&remedied, engine),
-                    {
-                        let mut v: Vec<String> =
-                            rem_profile.violations.iter().map(|x| x.0.clone()).collect();
-                        v.sort();
-                        v
-                    },
+                    violated(&exhaustive(remedied, engine)),
+                    violated(&rem_result),
                     "{scenario}/{}/{}: engines disagree on the remedied violated set",
                     campaign.name,
                     remedy.name
@@ -253,14 +208,14 @@ fn diff_scenario<M>(
             let props = prop_names
                 .iter()
                 .map(|&name| {
-                    let b = base_profile.violations.iter().find(|(p, _)| p == name);
-                    let r = rem_profile.violations.iter().find(|(p, _)| p == name);
+                    let base_witness = base_result.violation(name).map(|v| v.path.len());
+                    let rem_witness = rem_result.violation(name).map(|v| v.path.len());
                     PropDiff {
                         property: name.to_string(),
-                        base_violated: b.is_some(),
-                        rem_violated: r.is_some(),
-                        base_witness: b.map(|(_, len)| *len),
-                        rem_witness: r.map(|(_, len)| *len),
+                        base_violated: base_witness.is_some(),
+                        rem_violated: rem_witness.is_some(),
+                        base_witness,
+                        rem_witness,
                     }
                 })
                 .collect();
@@ -271,8 +226,8 @@ fn diff_scenario<M>(
                 remedy: remedy.name.to_string(),
                 class: remedy.class,
                 engine: canonical_name,
-                base_states: base_profile.states,
-                rem_states: rem_profile.states,
+                base_states: base_result.stats.unique_states,
+                rem_states: rem_result.stats.unique_states,
                 props,
             });
         }
@@ -571,12 +526,6 @@ fn merge_spec_files(base: &Path, patch: &Path) -> Result<(String, String, specl:
     ))
 }
 
-fn spec_profile(model: &specl::SpecModel, property: &str) -> (u64, bool, Option<usize>) {
-    let p = profile(model, SearchStrategy::Bfs);
-    let v = p.violations.iter().find(|(name, _)| name == property);
-    (p.states, v.is_some(), v.map(|(_, len)| *len))
-}
-
 /// Cross-check every spec-backed remedy overlay in the registry:
 /// merge the overlay onto its base spec and compare the compiled result
 /// against its reference.
@@ -599,9 +548,11 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         &repo_root.join("specs/attach_s2.specl"),
         &repo_root.join("specs/remedies/attach_s2__reliable_shim.specl"),
     )?;
-    let (m_states, m_viol, m_wit) = spec_profile(&merged, props::PACKET_SERVICE_OK);
+    let bfs = SearchStrategy::Bfs;
+    let (m_states, m_wit) = states_and_witness(&exhaustive(merged, bfs), props::PACKET_SERVICE_OK);
     let (_, reference) = compile_spec_file(&repo_root.join("specs/attach_reliable.specl"))?;
-    let (r_states, r_viol, r_wit) = spec_profile(&reference, props::PACKET_SERVICE_OK);
+    let (r_states, r_wit) =
+        states_and_witness(&exhaustive(reference, bfs), props::PACKET_SERVICE_OK);
     rows.push(OverlayCheck {
         remedy: "reliable_shim",
         overlay_file: "specs/remedies/attach_s2__reliable_shim.specl",
@@ -609,11 +560,11 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         merged_spec: merged_name,
         property: props::PACKET_SERVICE_OK,
         merged_states: m_states,
-        merged_violated: m_viol,
+        merged_violated: m_wit.is_some(),
         merged_witness: m_wit,
         reference: "specs/attach_reliable.specl",
         reference_states: r_states,
-        reference_violated: r_viol,
+        reference_violated: r_wit.is_some(),
         reference_witness: r_wit,
         exact: true,
     });
@@ -623,10 +574,9 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         &repo_root.join("specs/crosssys_lu_s6.specl"),
         &repo_root.join("specs/remedies/crosssys_lu_s6__mme_recovery.specl"),
     )?;
-    let (m_states, m_viol, m_wit) = spec_profile(&merged, props::MM_OK);
-    let rust = CrossSysLuModel::remedied();
-    let rust_profile = profile(&rust, SearchStrategy::Bfs);
-    let rust_v = rust_profile.violations.iter().find(|(p, _)| p == props::MM_OK);
+    let (m_states, m_wit) = states_and_witness(&exhaustive(merged, bfs), props::MM_OK);
+    let (r_states, r_wit) =
+        states_and_witness(&exhaustive(CrossSysLuModel::remedied(), bfs), props::MM_OK);
     rows.push(OverlayCheck {
         remedy: "mme_lu_recovery",
         overlay_file: "specs/remedies/crosssys_lu_s6__mme_recovery.specl",
@@ -634,12 +584,12 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         merged_spec: merged_name,
         property: props::MM_OK,
         merged_states: m_states,
-        merged_violated: m_viol,
+        merged_violated: m_wit.is_some(),
         merged_witness: m_wit,
         reference: "CrossSysLuModel::remedied()",
-        reference_states: rust_profile.states,
-        reference_violated: rust_v.is_some(),
-        reference_witness: rust_v.map(|(_, len)| *len),
+        reference_states: r_states,
+        reference_violated: r_wit.is_some(),
+        reference_witness: r_wit,
         exact: false,
     });
 
@@ -680,12 +630,6 @@ pub fn render_overlay_agreement(rows: &[OverlayCheck]) -> String {
         ));
     }
     out
-}
-
-/// The mck-side counterpart of an overlay's channel edit, for callers
-/// outside this module that interpret [`OverlayEdit::SetChannel`].
-pub fn channel_semantics(spec: &ChannelSpec) -> ChanSemantics {
-    chan_semantics(spec)
 }
 
 impl Overlayable for AttachModel {

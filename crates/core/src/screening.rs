@@ -5,10 +5,13 @@
 //! is the run that "identifies four instances S1–S4" (§4); S5 and S6 are
 //! operational and surface in [`crate::validation`].
 //!
-//! The four model families are independent, so screening fans them out
-//! across threads: S1/S2/S4 run on the lock-free parallel BFS engine, S3
-//! on DFS (its witness is a lasso, which only DFS detects). Reports list
-//! the runs in S1..S4 order regardless of which thread finishes first.
+//! Every sweep is a [`ScreenPlan`]: an ordered table of (label, instance,
+//! property, engine, model) rows. The families are independent, so
+//! [`Execution::Concurrent`] fans the rows out across threads, BFS rows on
+//! the lock-free parallel BFS engine and S3 on DFS (its witness is a
+//! lasso, which only DFS detects); [`Execution::Sequential`] runs them in
+//! order on sequential engines for byte-stable witnesses. Reports list the
+//! runs in row order regardless of which thread finishes first.
 //!
 //! # Graceful degradation
 //!
@@ -92,13 +95,6 @@ impl ScreeningReport {
     /// Total states explored across all models.
     pub fn total_states(&self) -> u64 {
         self.runs.iter().map(|r| r.stats.unique_states).sum()
-    }
-
-    /// Runs that stopped before exhausting their space, with the reason.
-    pub fn incomplete_runs(&self) -> impl Iterator<Item = &ModelRun> {
-        self.runs
-            .iter()
-            .filter(|r| matches!(r.verdict, Verdict::Incomplete { .. }))
     }
 
     /// Families whose worker panicked, with the captured payload.
@@ -355,225 +351,253 @@ fn join_run(handle: thread::ScopedJoinHandle<'_, ModelRun>, family: &'static str
     }
 }
 
-/// Run the full screening phase with the paper's model configurations.
-///
-/// The four families run concurrently; the report lists them S1..S4.
-pub fn run_screening() -> ScreeningReport {
-    run_screening_budgeted(ScreenBudget::default())
+/// How [`ScreenPlan::run`] executes a plan's rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Execution {
+    /// One scoped thread per row, BFS rows on parallel BFS. A panicking
+    /// row is contained into its [`ModelRun`].
+    Concurrent,
+    /// Rows in order on the calling thread, BFS rows on sequential BFS.
+    /// Each witness path is then a pure function of the model, so
+    /// signatures compiled from the counterexamples — and goldens like
+    /// the `--exp diagnose` matrix — stay stable across runs and machines.
+    Sequential,
 }
 
-/// [`run_screening`] under an explicit per-run budget (the degradation
-/// ladder engages when a family cannot finish within it).
-pub fn run_screening_budgeted(budget: ScreenBudget) -> ScreeningReport {
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        // S1 — shared context across inter-system switches.
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (S1 family)",
-                budget,
-            )
-        });
-        // S2 — attach over unreliable RRC.
-        let s2 = s.spawn(move || {
-            screen(
-                AttachModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach/unreliable-RRC (S2 family)",
-                budget,
-            )
-        });
-        // S3 — CSFB return gated on RRC state (needs DFS for the lasso).
-        let s3 = s.spawn(move || {
-            screen(
-                CsfbRrcModel::op2_high_rate(),
-                SearchStrategy::Dfs,
-                props::MM_OK,
-                Instance::S3,
-                "csfb-rrc (S3 family)",
-                budget,
-            )
-        });
-        // S4 — HOL blocking behind location updates.
-        let s4 = s.spawn(move || {
-            screen(
-                HolBlockModel::paper(),
-                par,
-                props::CALL_SERVICE_OK,
-                Instance::S4,
-                "mm-holblock (S4 family)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (S1 family)"),
-            join_run(s2, "attach/unreliable-RRC (S2 family)"),
-            join_run(s3, "csfb-rrc (S3 family)"),
-            join_run(s4, "mm-holblock (S4 family)"),
-        ]
-    });
+/// Screens a row's type-erased model with the given strategy.
+type ScreenFn = Box<dyn Fn(&PlanRow, SearchStrategy) -> ModelRun + Send + Sync>;
 
-    ScreeningReport { runs: runs.into() }
+/// One screened row. `screen` holds the model.
+struct PlanRow {
+    label: &'static str,
+    instance: Instance,
+    property: &'static str,
+    /// `Bfs` or `Dfs` (S3's lasso witness needs DFS).
+    engine: SearchStrategy,
+    screen: ScreenFn,
 }
 
-/// Single-threaded screening with sequential engines (BFS for S1/S2/S4,
-/// DFS for S3). Sequential search makes each witness path a pure function
-/// of the model, so signatures compiled from the counterexamples — and
-/// anything diffed against a golden file, like the `--exp diagnose`
-/// matrix — stay stable across runs and machines.
-pub fn run_screening_deterministic() -> ScreeningReport {
-    let budget = ScreenBudget::default();
-    let runs = vec![
-        screen(
-            SwitchContextModel::paper(),
-            SearchStrategy::Bfs,
-            props::PACKET_SERVICE_OK,
-            Instance::S1,
-            "switch-context (S1 family)",
-            budget,
-        ),
-        screen(
-            AttachModel::paper(),
-            SearchStrategy::Bfs,
-            props::PACKET_SERVICE_OK,
-            Instance::S2,
-            "attach/unreliable-RRC (S2 family)",
-            budget,
-        ),
-        screen(
-            CsfbRrcModel::op2_high_rate(),
-            SearchStrategy::Dfs,
-            props::MM_OK,
-            Instance::S3,
-            "csfb-rrc (S3 family)",
-            budget,
-        ),
-        screen(
-            HolBlockModel::paper(),
-            SearchStrategy::Bfs,
-            props::CALL_SERVICE_OK,
-            Instance::S4,
-            "mm-holblock (S4 family)",
-            budget,
-        ),
-    ];
-    ScreeningReport { runs }
+impl PlanRow {
+    fn new<M>(
+        label: &'static str,
+        instance: Instance,
+        property: &'static str,
+        engine: SearchStrategy,
+        model: M,
+    ) -> Self
+    where
+        M: Model + Send + Sync + Clone + 'static,
+        M::State: Send + Sync,
+        M::Action: Send + Sync,
+    {
+        let run = move |row: &PlanRow, strategy| {
+            screen(
+                model.clone(),
+                strategy,
+                row.property,
+                row.instance,
+                row.label,
+                ScreenBudget::default(),
+            )
+        };
+        Self {
+            label,
+            instance,
+            property,
+            engine,
+            screen: Box::new(run),
+        }
+    }
 }
 
-/// Run the screening phase with every §8 remedy applied: used to show the
-/// solution eliminates the design defects (§9). Any finding in this report
-/// means a remedy failed.
-pub fn run_screening_remedied() -> ScreeningReport {
-    let budget = ScreenBudget::default();
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::remedied(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (remedied)",
-                budget,
-            )
-        });
-        let s2 = s.spawn(move || {
-            screen(
-                AttachModel::with_reliable_transport(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach (reliable shim)",
-                budget,
-            )
-        });
-        let s3 = s.spawn(move || {
-            screen(
-                CsfbRrcModel::op2_remedied(),
-                SearchStrategy::Dfs,
-                props::MM_OK,
-                Instance::S3,
-                "csfb-rrc (CSFB tag)",
-                budget,
-            )
-        });
-        let s4 = s.spawn(move || {
-            screen(
-                HolBlockModel::remedied(),
-                par,
-                props::CALL_SERVICE_OK,
-                Instance::S4,
-                "mm-holblock (parallel threads)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (remedied)"),
-            join_run(s2, "attach (reliable shim)"),
-            join_run(s3, "csfb-rrc (CSFB tag)"),
-            join_run(s4, "mm-holblock (parallel threads)"),
-        ]
-    });
-    ScreeningReport { runs: runs.into() }
+/// A screening sweep as a table: every (label, instance, property,
+/// engine, model) row the sweep screens, in report order.
+pub struct ScreenPlan {
+    rows: Vec<PlanRow>,
 }
 
-/// Re-screen with the TS 24.301 retransmission timers modeled: S2's
-/// composition runs with T3410/T3430 over a lossy-but-fair channel and
-/// `PacketService_OK` must **hold**, while S1 and S6 — whose defects are
-/// not about message loss — still produce counterexamples. This is the
-/// §8 discussion's point that the attach defect is a transport problem the
-/// standards already know how to fix, unlike the shared-context (S1) and
-/// failure-propagation (S6) defects.
-pub fn run_screening_with_retries() -> ScreeningReport {
-    let budget = ScreenBudget::default();
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (S1, timers irrelevant)",
-                budget,
-            )
-        });
-        let s2 = s.spawn(move || {
-            screen(
-                RetryAttachModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach (T3410/T3430, lossy-but-fair)",
-                budget,
-            )
-        });
-        let s6 = s.spawn(move || {
-            screen(
-                CrossSysLuModel::paper(),
-                SearchStrategy::Bfs,
-                props::MM_OK,
-                Instance::S6,
-                "crosssys-lu (S6, timers irrelevant)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (S1, timers irrelevant)"),
-            join_run(s2, "attach (T3410/T3430, lossy-but-fair)"),
-            join_run(s6, "crosssys-lu (S6, timers irrelevant)"),
-        ]
-    });
-    ScreeningReport { runs: runs.into() }
+impl ScreenPlan {
+    /// The paper's model configurations: the S1..S4 families (§4). S3
+    /// runs on DFS because its witness is a lasso.
+    pub fn paper() -> Self {
+        Self {
+            rows: vec![
+                // S1 — shared context across inter-system switches.
+                PlanRow::new(
+                    "switch-context (S1 family)",
+                    Instance::S1,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    SwitchContextModel::paper(),
+                ),
+                // S2 — attach over unreliable RRC.
+                PlanRow::new(
+                    "attach/unreliable-RRC (S2 family)",
+                    Instance::S2,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    AttachModel::paper(),
+                ),
+                // S3 — CSFB return gated on RRC state.
+                PlanRow::new(
+                    "csfb-rrc (S3 family)",
+                    Instance::S3,
+                    props::MM_OK,
+                    SearchStrategy::Dfs,
+                    CsfbRrcModel::op2_high_rate(),
+                ),
+                // S4 — HOL blocking behind location updates.
+                PlanRow::new(
+                    "mm-holblock (S4 family)",
+                    Instance::S4,
+                    props::CALL_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    HolBlockModel::paper(),
+                ),
+            ],
+        }
+    }
+
+    /// The S1..S4 families with every §8 remedy applied: shows the
+    /// solution eliminates the design defects (§9). Any finding in this
+    /// plan's report means a remedy failed.
+    pub fn remedied() -> Self {
+        Self {
+            rows: vec![
+                PlanRow::new(
+                    "switch-context (remedied)",
+                    Instance::S1,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    SwitchContextModel::remedied(),
+                ),
+                PlanRow::new(
+                    "attach (reliable shim)",
+                    Instance::S2,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    AttachModel::with_reliable_transport(),
+                ),
+                PlanRow::new(
+                    "csfb-rrc (CSFB tag)",
+                    Instance::S3,
+                    props::MM_OK,
+                    SearchStrategy::Dfs,
+                    CsfbRrcModel::op2_remedied(),
+                ),
+                PlanRow::new(
+                    "mm-holblock (parallel threads)",
+                    Instance::S4,
+                    props::CALL_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    HolBlockModel::remedied(),
+                ),
+            ],
+        }
+    }
+
+    /// Re-screen with the TS 24.301 retransmission timers modeled: S2's
+    /// composition runs with T3410/T3430 over a lossy-but-fair channel and
+    /// `PacketService_OK` must **hold**, while S1 and S6 — whose defects
+    /// are not about message loss — still produce counterexamples. This is
+    /// the §8 discussion's point that the attach defect is a transport
+    /// problem the standards already know how to fix, unlike the
+    /// shared-context (S1) and failure-propagation (S6) defects.
+    pub fn with_retries() -> Self {
+        Self {
+            rows: vec![
+                PlanRow::new(
+                    "switch-context (S1, timers irrelevant)",
+                    Instance::S1,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    SwitchContextModel::paper(),
+                ),
+                PlanRow::new(
+                    "attach (T3410/T3430, lossy-but-fair)",
+                    Instance::S2,
+                    props::PACKET_SERVICE_OK,
+                    SearchStrategy::Bfs,
+                    RetryAttachModel::paper(),
+                ),
+                PlanRow::new(
+                    "crosssys-lu (S6, timers irrelevant)",
+                    Instance::S6,
+                    props::MM_OK,
+                    SearchStrategy::Bfs,
+                    CrossSysLuModel::paper(),
+                ),
+            ],
+        }
+    }
+
+    /// Screen every row under [`ScreenBudget::default`]; the report lists
+    /// the runs in row order whichever thread finishes first.
+    pub fn run(&self, execution: Execution) -> ScreeningReport {
+        let strategy = |row: &PlanRow| match (row.engine, execution) {
+            (SearchStrategy::Bfs, Execution::Concurrent) => SearchStrategy::ParallelBfs {
+                workers: per_run_workers(),
+            },
+            (engine, _) => engine,
+        };
+        let runs = match execution {
+            Execution::Sequential => self
+                .rows
+                .iter()
+                .map(|row| (row.screen)(row, strategy(row)))
+                .collect(),
+            Execution::Concurrent => thread::scope(|s| {
+                let handles: Vec<_> = self
+                    .rows
+                    .iter()
+                    .map(|row| (row.label, s.spawn(move || (row.screen)(row, strategy(row)))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(label, handle)| join_run(handle, label))
+                    .collect()
+            }),
+        };
+        ScreeningReport { runs }
+    }
+}
+
+/// Render a screening report as `repro --exp screen` and `cnetverifier
+/// screen` print it: per run its label, statistics, answering engine and
+/// verdict, then each finding's counterexample and insight, then the
+/// finding count.
+pub fn render_screening(report: &ScreeningReport) -> String {
+    let mut out = format!(
+        "screening {} model families ({} states total):\n\n",
+        report.runs.len(),
+        report.total_states()
+    );
+    for run in &report.runs {
+        out.push_str(&format!(
+            "  {:<40} {}\n    engine {}: {}\n",
+            run.model_name, run.stats, run.engine, run.verdict
+        ));
+        for f in &run.findings {
+            out.push_str(&format!(
+                "    -> {}: {}\n       violates {} ({} steps{})\n",
+                f.instance,
+                f.instance.problem(),
+                f.property,
+                f.steps,
+                if f.lasso { ", lasso" } else { "" }
+            ));
+            for (i, step) in f.witness.iter().enumerate() {
+                out.push_str(&format!("         {:>2}. {step}\n", i + 1));
+            }
+            let insight = crate::insight_for(f.instance);
+            out.push_str(&format!(
+                "       insight {}: {}\n",
+                insight.number, insight.text
+            ));
+        }
+    }
+    out.push_str(&format!("\n{} finding(s).\n", report.findings().count()));
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -723,18 +747,30 @@ impl SpecAgreement {
     }
 }
 
-/// Exhaustive sequential-BFS profile of one model against one property:
-/// (unique states, violated?, counterexample length).
-fn bfs_profile<M>(model: M, property: &str) -> (u64, bool, Option<usize>)
+/// Run `model` to exhaustion under `strategy`. Agreement and differential
+/// checks compare whole state spaces, so a truncated run is a bug here,
+/// not a degraded answer.
+pub(crate) fn exhaustive<M>(model: M, strategy: SearchStrategy) -> mck::CheckResult<M>
 where
     M: Model + Sync,
     M::State: Send + Sync,
     M::Action: Send + Sync,
 {
-    let result = Checker::new(model).strategy(SearchStrategy::Bfs).run();
+    let result = Checker::new(model).strategy(strategy).run();
     assert!(result.complete, "agreement profiles must be exhaustive");
-    let v = result.violation(property);
-    (result.stats.unique_states, v.is_some(), v.map(|v| v.path.len()))
+    result
+}
+
+/// Unique states and counterexample length (when violated) of an
+/// exhaustive run against one property.
+pub(crate) fn states_and_witness<M: Model>(
+    result: &mck::CheckResult<M>,
+    property: &str,
+) -> (u64, Option<usize>) {
+    (
+        result.stats.unique_states,
+        result.violation(property).map(|v| v.path.len()),
+    )
 }
 
 /// Cross-check every spec under `dir` against its hand-written Rust
@@ -745,24 +781,28 @@ pub fn spec_agreement(dir: &Path) -> Result<Vec<SpecAgreement>, String> {
     let specs = load_specs(dir)?;
     let mut rows = Vec::with_capacity(specs.len());
     for spec in specs {
-        let (hand_model, property, hand) = match spec.name.as_str() {
+        let bfs = SearchStrategy::Bfs;
+        let (hand_model, property, (hand_states, hand_witness)) = match spec.name.as_str() {
             "attach" => (
                 "AttachModel::paper()",
                 props::PACKET_SERVICE_OK,
-                bfs_profile(AttachModel::paper(), props::PACKET_SERVICE_OK),
+                states_and_witness(
+                    &exhaustive(AttachModel::paper(), bfs),
+                    props::PACKET_SERVICE_OK,
+                ),
             ),
             "attach_reliable" => (
                 "AttachModel::with_reliable_transport()",
                 props::PACKET_SERVICE_OK,
-                bfs_profile(
-                    AttachModel::with_reliable_transport(),
+                states_and_witness(
+                    &exhaustive(AttachModel::with_reliable_transport(), bfs),
                     props::PACKET_SERVICE_OK,
                 ),
             ),
             "crosssys_lu" => (
                 "CrossSysLuModel::paper()",
                 props::MM_OK,
-                bfs_profile(CrossSysLuModel::paper(), props::MM_OK),
+                states_and_witness(&exhaustive(CrossSysLuModel::paper(), bfs), props::MM_OK),
             ),
             other => {
                 return Err(format!(
@@ -771,8 +811,8 @@ pub fn spec_agreement(dir: &Path) -> Result<Vec<SpecAgreement>, String> {
                 ))
             }
         };
-        let (spec_states, spec_violated, spec_witness) = bfs_profile(spec.model.clone(), property);
-        let (hand_states, hand_violated, hand_witness) = hand;
+        let (spec_states, spec_witness) =
+            states_and_witness(&exhaustive(spec.model.clone(), bfs), property);
         rows.push(SpecAgreement {
             name: spec.name,
             file: spec.file,
@@ -781,8 +821,8 @@ pub fn spec_agreement(dir: &Path) -> Result<Vec<SpecAgreement>, String> {
             property,
             spec_states,
             hand_states,
-            spec_violated,
-            hand_violated,
+            spec_violated: spec_witness.is_some(),
+            hand_violated: hand_witness.is_some(),
             spec_witness,
             hand_witness,
         });
@@ -1061,7 +1101,7 @@ mod tests {
 
     #[test]
     fn screening_finds_s1_through_s4() {
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         for instance in [Instance::S1, Instance::S2, Instance::S3, Instance::S4] {
             let f = report
                 .finding(instance)
@@ -1075,20 +1115,20 @@ mod tests {
     fn s5_s6_not_found_by_screening() {
         // Matches §4: the screening phase yields S1–S4; S5/S6 are
         // operational and only surface during validation.
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         assert!(report.finding(Instance::S5).is_none());
         assert!(report.finding(Instance::S6).is_none());
     }
 
     #[test]
     fn s3_witness_is_a_lasso() {
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         assert!(report.finding(Instance::S3).unwrap().lasso);
     }
 
     #[test]
     fn screening_explores_nontrivial_space() {
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         assert!(report.total_states() > 100);
         assert_eq!(report.runs.len(), 4);
     }
@@ -1096,7 +1136,7 @@ mod tests {
     #[test]
     fn report_orders_runs_s1_to_s4() {
         // Runs execute concurrently but the report order is fixed.
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         let names: Vec<_> = report.runs.iter().map(|r| r.model_name).collect();
         assert_eq!(
             names,
@@ -1111,7 +1151,7 @@ mod tests {
 
     #[test]
     fn unbudgeted_screening_is_complete_on_first_rung() {
-        let report = run_screening();
+        let report = ScreenPlan::paper().run(Execution::Concurrent);
         assert!(report.complete());
         for run in &report.runs {
             assert_eq!(run.verdict, Verdict::Complete);
@@ -1122,14 +1162,14 @@ mod tests {
 
     #[test]
     fn remedied_screening_is_clean() {
-        let report = run_screening_remedied();
+        let report = ScreenPlan::remedied().run(Execution::Concurrent);
         assert_eq!(report.findings().count(), 0);
         assert!(report.complete(), "clean must also mean exhaustive");
     }
 
     #[test]
     fn retry_screening_flips_s2_but_not_s1_s6() {
-        let report = run_screening_with_retries();
+        let report = ScreenPlan::with_retries().run(Execution::Concurrent);
         assert!(report.complete());
         assert!(
             report.finding(Instance::S2).is_none(),
@@ -1144,6 +1184,39 @@ mod tests {
             report.finding(Instance::S6).is_some(),
             "S6 is failure propagation, untouched by retransmission"
         );
+    }
+
+    #[test]
+    fn sequential_and_concurrent_runs_agree_on_every_plan() {
+        let labels = |r: &ScreeningReport| r.runs.iter().map(|r| r.model_name).collect::<Vec<_>>();
+        let verdicts =
+            |r: &ScreeningReport| r.runs.iter().map(|r| r.verdict.clone()).collect::<Vec<_>>();
+        let findings = |r: &ScreeningReport| {
+            let mut f: Vec<_> = r
+                .findings()
+                .map(|f| (f.instance, f.property.clone(), f.lasso))
+                .collect();
+            f.sort();
+            f
+        };
+        let witnesses =
+            |r: &ScreeningReport| r.findings().map(|f| f.witness.clone()).collect::<Vec<_>>();
+        for plan in [
+            ScreenPlan::paper(),
+            ScreenPlan::remedied(),
+            ScreenPlan::with_retries(),
+        ] {
+            let seq = plan.run(Execution::Sequential);
+            let con = plan.run(Execution::Concurrent);
+            assert_eq!(labels(&seq), labels(&con));
+            assert_eq!(findings(&seq), findings(&con));
+            assert_eq!(verdicts(&seq), verdicts(&con));
+            assert_eq!(
+                witnesses(&seq),
+                witnesses(&plan.run(Execution::Sequential)),
+                "sequential witnesses are a pure function of the models"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use netsim::{op_i, op_ii, Ev, Injection, OperatorProfile, SimTime, World, WorldC
 use serde::{Deserialize, Serialize};
 
 use crate::findings::Instance;
-use crate::screening::{run_screening_deterministic, ScreeningReport};
+use crate::screening::{Execution, ScreenPlan, ScreeningReport};
 
 /// The outcome of validating one instance on one carrier.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -417,11 +417,12 @@ pub struct Diagnosis {
     pub outcomes: Vec<ValidationOutcome>,
 }
 
-/// Run both phases and classify every instance: deterministic screening
-/// for the predictions, monitor-driven validation on both carriers, and
-/// the design-defect / operational-slip split of §4.
+/// Run both phases and classify every instance: sequential screening of
+/// the paper plan for the predictions (stable witness paths), monitor-driven
+/// validation on both carriers, and the design-defect / operational-slip
+/// split of §4.
 pub fn diagnose(seed: u64) -> Vec<Diagnosis> {
-    diagnose_against(&run_screening_deterministic(), seed)
+    diagnose_against(&ScreenPlan::paper().run(Execution::Sequential), seed)
 }
 
 /// [`diagnose`] against an already-computed screening report.
@@ -462,6 +463,72 @@ pub fn diagnose_against(screening: &ScreeningReport, seed: u64) -> Vec<Diagnosis
             }
         })
         .collect()
+}
+
+/// One outcome as `verdict + evidence` followed by its matched span and,
+/// when refuted, the refuting entry.
+fn render_outcome(o: &ValidationOutcome) -> String {
+    let mut out = format!(
+        "{} on {:>5}: {:<12} {}\n",
+        o.instance,
+        o.operator,
+        o.verdict.to_string(),
+        o.evidence
+    );
+    for line in o.span_lines() {
+        out.push_str(&format!("    {line}\n"));
+    }
+    if let Some(r) = &o.refutation {
+        out.push_str(&format!("    refuted by: {r}\n"));
+    }
+    out
+}
+
+/// Render validation outcomes as `repro --exp valid` and `cnetverifier
+/// validate` print them: every outcome with its evidence span, then how
+/// many instance-carrier pairs confirmed.
+pub fn render_validation(outcomes: &[ValidationOutcome]) -> String {
+    let mut out: String = outcomes.iter().map(render_outcome).collect();
+    let observed = outcomes.iter().filter(|o| o.observed).count();
+    out.push_str(&format!(
+        "\n{observed}/{} instance-carrier pairs confirmed.\n",
+        outcomes.len()
+    ));
+    out
+}
+
+/// Render the S1-S6 × {OP-I, OP-II} diagnosis matrix, then every cell's
+/// outcome with its matched span. For a fixed seed this is byte-stable:
+/// it is the body of the `--exp diagnose` golden.
+pub fn render_diagnosis(diagnoses: &[Diagnosis]) -> String {
+    let mut out = format!(
+        "{:<4} {:>12} {:>12} {:>10} {:>13}  classification\n",
+        "inst", "OP-I", "OP-II", "screening", "witness-sig"
+    );
+    for d in diagnoses {
+        let witness = d
+            .witness_verdict
+            .map(|v| v.to_string())
+            .unwrap_or_else(|| "-".into());
+        out.push_str(&format!(
+            "{:<4} {:>12} {:>12} {:>10} {:>13}  {}\n",
+            d.instance.to_string(),
+            d.outcomes[0].verdict.to_string(),
+            d.outcomes[1].verdict.to_string(),
+            if d.predicted_by_screening {
+                "predicted"
+            } else {
+                "-"
+            },
+            witness,
+            d.class
+        ));
+    }
+    for d in diagnoses {
+        out.push('\n');
+        out.extend(d.outcomes.iter().map(render_outcome));
+    }
+    out
 }
 
 #[cfg(test)]

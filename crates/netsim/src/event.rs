@@ -1,4 +1,4 @@
-//! The discrete-event queue.
+//! The binary-heap event queue: the timing wheel's oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,7 +13,12 @@ struct Pending<E> {
     payload: E,
 }
 
-/// A deterministic time-ordered event queue.
+/// A deterministic time-ordered event queue on a binary heap.
+///
+/// No simulator schedules on it: [`crate::TimingWheel`] drives both
+/// [`crate::World`] and the fleet. It stays public as the wheel's
+/// reference implementation, the oracle the netsim property tests and the
+/// benchmark's traced pass replay the wheel against.
 ///
 /// Events at equal times fire in insertion order, so runs are reproducible
 /// regardless of payload contents (no reliance on payload ordering).

@@ -22,18 +22,18 @@ use cellstack::{
     Registration, StackEvent, SwitchMechanism, UpdateKind,
 };
 
-use crate::event::EventQueue;
 use crate::inject::{AdvFate, Fate, Leg, NodeId};
 use crate::metrics::{CallSetup, ThroughputSample};
 use crate::node::{CarrierCore, CoreSession, Ue, UeId};
 use crate::radio::{achievable_kbps, ChannelConfig, Rssi};
+use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 use crate::trace::{CallPhase, FaultEvent, FaultKind, HazardKind, TraceEvent, TraceType};
 use crate::world::{Ev, WorldConfig};
 
-/// Destination for the events the executive schedules. The single-UE
-/// facade plugs in its [`EventQueue`]; the fleet plugs in its timing
-/// wheel (wrapping the payload in its block-level event type). The
+/// Destination for the events the executive schedules: always a
+/// [`TimingWheel`]. The single-UE facade's wheel holds the events as they
+/// are; the fleet's wraps them in its block-level event type. The
 /// executive is monomorphized per sink, so the indirection costs nothing
 /// on the hot path.
 pub(crate) trait EvSink {
@@ -41,9 +41,9 @@ pub(crate) trait EvSink {
     fn schedule(&mut self, at: SimTime, key: (UeId, Ev));
 }
 
-impl EvSink for EventQueue<(UeId, Ev)> {
+impl EvSink for TimingWheel<(UeId, Ev)> {
     fn schedule(&mut self, at: SimTime, key: (UeId, Ev)) {
-        EventQueue::schedule(self, at, key);
+        TimingWheel::schedule(self, at, key);
     }
 }
 

@@ -1,10 +1,11 @@
-//! The fleet's hierarchical timing wheel.
+//! The simulator's one scheduler: a hierarchical timing wheel.
 //!
 //! The [`crate::event::EventQueue`] is a binary heap: O(log n) per
 //! schedule/pop plus a `HashMap` touch per event for the cancellation
-//! slots. That is fine for one phone; at a million UEs the heap walk and
-//! the hash traffic dominate the step loop. [`TimingWheel`] replaces it on
-//! the fleet hot path with the classic hashed hierarchical wheel
+//! slots. At a million UEs the heap walk and the hash traffic dominate the
+//! step loop. [`TimingWheel`] replaces it — in the fleet kernel and in the
+//! single-phone [`crate::World`] alike — with the classic hashed
+//! hierarchical wheel
 //! (Varghese & Lauck): `LEVELS` levels of 64 slots each, level `l`
 //! spanning `64^(l+1)` ms, with a 64-bit occupancy bitmap per level so
 //! finding the next non-empty slot is a `trailing_zeros`.
@@ -20,8 +21,9 @@
 //!   removes it in place with a short slot scan — no per-event hashing on
 //!   the schedule/pop path at all.
 //!
-//! Determinism contract (shared with `EventQueue`, pinned by the
-//! equivalence property test in `tests/proptests.rs`): events pop in
+//! Determinism contract (shared with `EventQueue`, which stays public only
+//! as this wheel's oracle, pinned by the equivalence property test in
+//! `tests/proptests.rs`): events pop in
 //! `(time, insertion seq)` order. Cascades drain slots front-to-back and
 //! re-insert with `push_back`, which preserves insertion order among
 //! same-time entries; a slot at level 0 holds exactly one millisecond, so

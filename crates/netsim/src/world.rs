@@ -20,13 +20,13 @@ use cellstack::{
     Domain, NasMessage, NasTimer, PdpDeactivationCause, RatSystem, UpdateKind,
 };
 
-use crate::event::EventQueue;
 use crate::inject::{Campaign, CampaignReport, Injection};
 use crate::mobility::Drive;
 use crate::node::{CarrierCore, CoreSession, Ue, UeId};
 use crate::operator::OperatorProfile;
 use crate::radio::Rssi;
 use crate::sim::exec::Exec;
+use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 
 /// Simulation events.
@@ -301,7 +301,7 @@ pub struct World {
     pub ue: Ue,
     /// The carrier core: HSS plus per-IMSI session machines.
     pub carrier: CarrierCore,
-    queue: EventQueue<(UeId, Ev)>,
+    queue: TimingWheel<(UeId, Ev)>,
 }
 
 impl std::ops::Deref for World {
@@ -334,7 +334,7 @@ impl World {
             cfg,
             ue,
             carrier,
-            queue: EventQueue::new(),
+            queue: TimingWheel::new(),
         };
         // Phase-end restarts are part of the plan, scheduled up front.
         let phase_ends: Vec<(usize, u64)> = w
@@ -373,7 +373,8 @@ impl World {
         self.queue.schedule(self.now + delay_ms, (self.ue.id, ev));
     }
 
-    /// Schedule `ev` at absolute time `at`.
+    /// Schedule `ev` at absolute time `at`, which must not precede the
+    /// last event handled: the wheel does not schedule into the past.
     pub fn schedule_at(&mut self, at: SimTime, ev: Ev) {
         self.queue.schedule(at, (self.ue.id, ev));
     }

@@ -15,7 +15,7 @@ fn main() {
 
     // ---- Phase 1: screening (model checking) ----
     println!("Phase 1: screening the protocol models...\n");
-    let report = cnetverifier::run_screening();
+    let report = cnetverifier::ScreenPlan::paper().run(cnetverifier::Execution::Concurrent);
     for run in &report.runs {
         println!("  model {:<36} {}", run.model_name, run.stats);
     }
@@ -57,7 +57,7 @@ fn main() {
 
     // ---- The fix ----
     println!("\nWith the paper's Section-8 remedies applied:");
-    let remedied = cnetverifier::run_screening_remedied();
+    let remedied = cnetverifier::ScreenPlan::remedied().run(cnetverifier::Execution::Concurrent);
     println!(
         "  screening finds {} violation(s) across {} models (expected 0)",
         remedied.findings().count(),

@@ -72,7 +72,7 @@ fn main() {
 
     // ---- and the properties hold again ----
     println!("\nScreening with every remedy applied:");
-    let report = cnetverifier::run_screening_remedied();
+    let report = cnetverifier::ScreenPlan::remedied().run(cnetverifier::Execution::Concurrent);
     for run in &report.runs {
         println!(
             "  {:<36} {} -> {} finding(s)",

@@ -6,13 +6,11 @@
 //! matches Table 1, and confirm the §8 remedies clear everything.
 
 use cnetverifier::findings::{Category, Instance, Phase};
-use cnetverifier::{
-    diagnose, run_screening, run_screening_remedied, validate_all, DefectClass, Verdict,
-};
+use cnetverifier::{diagnose, validate_all, DefectClass, Execution, ScreenPlan, Verdict};
 
 #[test]
 fn screening_finds_exactly_the_four_design_defects() {
-    let report = run_screening();
+    let report = ScreenPlan::paper().run(Execution::Concurrent);
     let found: Vec<Instance> = report.findings().map(|f| f.instance).collect();
     assert_eq!(
         found,
@@ -122,7 +120,7 @@ fn diagnosis_matrix_matches_table1() {
 
 #[test]
 fn remedied_screening_is_completely_clean() {
-    let report = run_screening_remedied();
+    let report = ScreenPlan::remedied().run(Execution::Concurrent);
     assert_eq!(
         report.findings().count(),
         0,
@@ -135,7 +133,7 @@ fn remedied_screening_is_completely_clean() {
 
 #[test]
 fn counterexample_witnesses_are_human_readable() {
-    let report = run_screening();
+    let report = ScreenPlan::paper().run(Execution::Concurrent);
     for f in report.findings() {
         assert_eq!(f.witness.len(), f.steps);
         for step in &f.witness {
