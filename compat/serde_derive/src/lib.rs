@@ -3,9 +3,11 @@
 //! Upstream `serde_derive` depends on `syn`/`quote`, which are unavailable
 //! offline, so the item grammar is parsed directly from the raw
 //! `proc_macro::TokenStream`. Supported shapes — which cover every derived
-//! type in this repository — are non-generic structs (named, tuple, unit)
-//! and enums whose variants are unit, tuple, or struct-like, with no
-//! `#[serde(...)]` attributes. Enums use serde's default externally-tagged
+//! type in this repository — are structs (named, tuple, unit) and enums
+//! whose variants are unit, tuple, or struct-like, with no
+//! `#[serde(...)]` attributes. The only generics accepted are lifetime
+//! parameters on a `Serialize` struct (a borrowed wire view of another
+//! type). Enums use serde's default externally-tagged
 //! representation; newtype structs serialize as their inner value.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
@@ -17,7 +19,8 @@ enum Fields {
 }
 
 enum Item {
-    Struct { name: String, fields: Fields },
+    /// `generics` is empty or a lifetime list such as `<'a>`.
+    Struct { name: String, generics: String, fields: Fields },
     Enum { name: String, variants: Vec<(String, Fields)> },
 }
 
@@ -65,8 +68,33 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     };
     i += 1;
 
+    let mut generics = String::new();
     if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!("generic type `{name}` is not supported by the offline serde derive"));
+        generics.push('<');
+        loop {
+            i += 1;
+            match tokens.get(i) {
+                Some(TokenTree::Punct(p)) if matches!(p.as_char(), '\'' | ',' | '>') => {
+                    generics.push(p.as_char());
+                    if p.as_char() == '>' {
+                        i += 1;
+                        break;
+                    }
+                }
+                Some(TokenTree::Ident(id)) if generics.ends_with('\'') => {
+                    generics.push_str(&id.to_string());
+                }
+                _ => {
+                    return Err(format!(
+                        "generic type `{name}` is not supported by the offline serde derive \
+                         (lifetime parameters only)"
+                    ))
+                }
+            }
+        }
+        if kind == "enum" {
+            return Err(format!("generic enum `{name}` is not supported by the offline serde derive"));
+        }
     }
 
     if kind == "struct" {
@@ -80,7 +108,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
             other => return Err(format!("unsupported struct body: {other:?}")),
         };
-        Ok(Item::Struct { name, fields })
+        Ok(Item::Struct { name, generics, fields })
     } else {
         let body = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
@@ -292,7 +320,7 @@ impl JsonPlan {
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, generics, fields } => {
             let mut plan = JsonPlan::default();
             let body = match fields {
                 Fields::Unit => {
@@ -325,7 +353,7 @@ fn gen_serialize(item: &Item) -> String {
                 }
             };
             format!(
-                "impl ::serde::Serialize for {name} {{\n\
+                "impl{generics} ::serde::Serialize for {name}{generics} {{\n\
                      fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
                      fn write_json(&self, __out: &mut ::std::vec::Vec<u8>) {{ {} }}\n\
                  }}",
@@ -413,7 +441,10 @@ fn gen_serialize(item: &Item) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, generics, .. } if !generics.is_empty() => {
+            error_ts(&format!("borrowed type `{name}` cannot derive Deserialize")).to_string()
+        }
+        Item::Struct { name, fields, .. } => {
             let body = match fields {
                 Fields::Unit => format!(
                     "match __v {{ ::serde::Value::Null => \

@@ -92,6 +92,6 @@ pub use msg::{NasMessage, RrcMessage, SwitchMechanism, UpdateKind};
 pub use rrc3g::{Modulation, Rrc3g, Rrc3gState};
 pub use rrc4g::{DrxMode, Rrc4g, Rrc4gState};
 pub use session::SessionTable;
-pub use stack::{DeviceStack, StackEvent};
+pub use stack::{DeviceStack, StackEvent, StackNote};
 pub use timers::{FgTimer, NasTimer, MAX_NAS_RETRIES};
 pub use types::{Dimension, Domain, IssueKind, MsgClass, Protocol, RatSystem, Registration, Sublayer};

@@ -62,8 +62,9 @@ pub enum StackEvent {
     ArmNasTimer(NasTimer),
     /// A mobile-terminated call is ringing (user may answer).
     IncomingCallRinging,
-    /// A protocol produced a trace-worthy step (module, description).
-    Trace(Protocol, String),
+    /// A protocol produced a trace-worthy step (originating module, what
+    /// happened). The environment renders its text.
+    Trace(Protocol, StackNote),
     /// Send a 5G NAS message uplink (the 5G NR leg; the environment routes
     /// it to the AMF).
     Uplink5gNas(FgNasMessage),
@@ -75,6 +76,23 @@ pub enum StackEvent {
     FgRegChanged(Registration),
     /// The NSA secondary leg changed state.
     SecondaryLeg(SecondaryLeg),
+}
+
+/// A trace-worthy protocol step carried by [`StackEvent::Trace`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum StackNote {
+    /// The EPS bearer context was migrated into a PDP context (4G→3G).
+    ContextMigrated,
+    /// A 4G→3G inter-system switch completed.
+    SwitchedTo3g,
+    /// A 3G→4G inter-system switch was attempted.
+    SwitchTo4gAttempted,
+    /// A location area update completed.
+    LocationUpdateDone,
+    /// A routing area update completed.
+    RoutingUpdateDone,
+    /// The PDP context was deactivated, with the Table 3 cause.
+    PdpDeactivated(PdpDeactivationCause),
 }
 
 /// The composed device stack.
@@ -395,10 +413,7 @@ impl DeviceStack {
         self.gmm.state = GmmDeviceState::Registered;
         if let Some(pdp) = pdp {
             self.sm.install_migrated(pdp);
-            ev.push(StackEvent::Trace(
-                Protocol::Sm,
-                "EPS bearer context migrated to PDP context".into(),
-            ));
+            ev.push(StackEvent::Trace(Protocol::Sm, StackNote::ContextMigrated));
             if self.data_enabled {
                 let mut r = Vec::new();
                 self.rrc3g.on_event(
@@ -420,10 +435,7 @@ impl DeviceStack {
         self.gmm
             .on_input(GmmDeviceInput::RoutingUpdateTrigger, &mut out);
         self.route_gmm(out, ev);
-        ev.push(StackEvent::Trace(
-            Protocol::Emm,
-            "4G->3G inter-system switch complete".into(),
-        ));
+        ev.push(StackEvent::Trace(Protocol::Emm, StackNote::SwitchedTo3g));
     }
 
     /// Execute a 3G→4G switch: migrate the PDP context (if active) into the
@@ -439,10 +451,7 @@ impl DeviceStack {
         self.emm
             .on_input(EmmDeviceInput::SwitchedIn { pdp }, &mut out);
         self.route_emm(out, ev);
-        ev.push(StackEvent::Trace(
-            Protocol::Emm,
-            "3G->4G inter-system switch attempted".into(),
-        ));
+        ev.push(StackEvent::Trace(Protocol::Emm, StackNote::SwitchTo4gAttempted));
     }
 
     // ---- network message delivery ----------------------------------------
@@ -585,10 +594,7 @@ impl DeviceStack {
                     ev.push(StackEvent::LocationUpdateFailed);
                 }
                 MmDeviceOutput::LocationUpdateDone => {
-                    ev.push(StackEvent::Trace(
-                        Protocol::Mm,
-                        "Location area update complete".into(),
-                    ));
+                    ev.push(StackEvent::Trace(Protocol::Mm, StackNote::LocationUpdateDone));
                 }
             }
         }
@@ -620,10 +626,7 @@ impl DeviceStack {
                     }
                 }
                 GmmDeviceOutput::RoutingUpdateDone => {
-                    ev.push(StackEvent::Trace(
-                        Protocol::Gmm,
-                        "Routing area update complete".into(),
-                    ));
+                    ev.push(StackEvent::Trace(Protocol::Gmm, StackNote::RoutingUpdateDone));
                 }
             }
         }
@@ -694,10 +697,7 @@ impl DeviceStack {
                     let mut r = Vec::new();
                     self.rrc3g.on_event(Rrc3gEvent::PsTrafficStop, &mut r);
                     ev.push(StackEvent::DataService(false));
-                    ev.push(StackEvent::Trace(
-                        Protocol::Sm,
-                        format!("PDP context deactivated: {}", cause.description()),
-                    ));
+                    ev.push(StackEvent::Trace(Protocol::Sm, StackNote::PdpDeactivated(cause)));
                 }
             }
         }

@@ -27,7 +27,7 @@ use crate::findings::Instance;
 use crate::screening::{Execution, ScreenPlan, ScreeningReport};
 
 /// The outcome of validating one instance on one carrier.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ValidationOutcome {
     /// Which instance was validated.
     pub instance: Instance,
@@ -64,14 +64,14 @@ impl ValidationOutcome {
     pub fn span_lines(&self) -> Vec<String> {
         self.span
             .iter()
-            .map(|m| format!("{} {:<22} {}", m.ts.hhmmss(), m.step, m.desc))
+            .map(|m| format!("{} {:<22} {}", m.entry.ts.hhmmss(), m.step, m.entry.desc()))
             .collect()
     }
 }
 
 /// Timestamp of the span entry that satisfied `step`, if it matched.
 fn step_ts(report: &MonitorReport, step: &str) -> Option<SimTime> {
-    report.span.iter().find(|m| m.step == step).map(|m| m.ts)
+    report.span.iter().find(|m| m.step == step).map(|m| m.entry.ts)
 }
 
 /// Seconds between two matched steps of a report.
@@ -307,7 +307,7 @@ pub fn validate_s5(op: OperatorProfile, seed: u64) -> ValidationOutcome {
             .span
             .iter()
             .find(|m| m.step == "ul-collapse")
-            .and_then(|m| match &m.event {
+            .and_then(|m| match &m.entry.event {
                 netsim::TraceEvent::Throughput { kbps, .. } => Some(*kbps),
                 _ => None,
             })
@@ -400,7 +400,7 @@ impl std::fmt::Display for DefectClass {
 }
 
 /// The two-phase diagnosis of one instance.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Diagnosis {
     /// Which instance.
     pub instance: Instance,
@@ -550,7 +550,7 @@ mod tests {
         let v = validate_s2(op_i(), 7);
         assert_eq!(v.verdict, Verdict::Confirmed, "{}", v.evidence);
         assert_eq!(v.span[0].step, "uplink-loss");
-        assert!(matches!(v.span[0].event, netsim::TraceEvent::Fault(_)));
+        assert!(matches!(v.span[0].entry.event, netsim::TraceEvent::Fault(_)));
     }
 
     #[test]
@@ -558,8 +558,8 @@ mod tests {
         let stuck = |op| {
             let v = validate_s3(op, 11);
             assert_eq!(v.verdict, Verdict::Confirmed, "{}: {}", v.operator, v.evidence);
-            let released = v.span.iter().find(|m| m.step == "call-released").unwrap().ts;
-            let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().ts;
+            let released = v.span.iter().find(|m| m.step == "call-released").unwrap().entry.ts;
+            let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().entry.ts;
             returned.since(released)
         };
         let op1 = stuck(op_i());
@@ -620,7 +620,7 @@ mod tests {
         for v in validate_all(3) {
             if v.observed {
                 assert!(!v.span.is_empty(), "{} on {}", v.instance, v.operator);
-                assert!(v.span.windows(2).all(|w| w[0].ts <= w[1].ts));
+                assert!(v.span.windows(2).all(|w| w[0].entry.ts <= w[1].entry.ts));
                 assert!(!v.span_lines().is_empty());
             }
         }

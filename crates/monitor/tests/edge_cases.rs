@@ -7,12 +7,11 @@ use netsim::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
 use netsim::SimTime;
 
 fn feed_at(t: &mut TraceCollector, ms: u64, event: TraceEvent) {
-    t.record_event(
+    t.record(
         SimTime::from_millis(ms),
         TraceType::State,
         RatSystem::Utran3g,
         Protocol::Mm,
-        format!("event at {ms} ms"),
         event,
     );
 }
@@ -52,7 +51,7 @@ fn in_order_events_confirm_and_produce_the_span() {
     assert_eq!(report.verdict, Verdict::Confirmed);
     assert_eq!(report.span.len(), 2);
     assert_eq!(report.span[0].step, "connected");
-    assert_eq!(report.span[1].ts, SimTime::from_secs(9));
+    assert_eq!(report.span[1].entry.ts, SimTime::from_secs(9));
 }
 
 #[test]
@@ -66,7 +65,7 @@ fn overlapping_matches_advance_greedily_on_the_first_candidate() {
     feed_at(&mut t, 3_000, TraceEvent::Call(CallPhase::Released));
     let report = run_signature(two_step(), t.entries(), SimTime::from_secs(10));
     assert_eq!(report.verdict, Verdict::Confirmed);
-    assert_eq!(report.span[0].ts, SimTime::from_secs(1), "greedy first match");
+    assert_eq!(report.span[0].entry.ts, SimTime::from_secs(1), "greedy first match");
 }
 
 #[test]

@@ -85,8 +85,8 @@ pub use sim::{
 };
 pub use time::SimTime;
 pub use trace::{
-    CallPhase, FaultEvent, FaultKind, HazardKind, TraceCollector, TraceEntry, TraceEvent,
-    TraceType,
+    CallPhase, Desc, FaultEvent, FaultKind, HazardKind, Note, TraceCollector, TraceEntry,
+    TraceEvent, TraceType,
 };
 pub use verify::{
     count_signature, run_signature, Bank, FaultClass, LaneBank, LiveConfig, LiveCounts,

@@ -18,8 +18,8 @@ use cellstack::emm::{MmeInput, MmeOutput};
 use cellstack::mm::{MscInput, MscOutput};
 use cellstack::sm::SgsnSmOutput;
 use cellstack::{
-    AttachRejectCause, CsfbCall, Domain, EmmCause, NasMessage, NasTimer, Protocol, RatSystem,
-    Registration, StackEvent, SwitchMechanism, UpdateKind,
+    AttachRejectCause, CsfbCall, DeviceStack, Domain, EmmCause, NasMessage, NasTimer, Protocol,
+    RatSystem, Registration, StackEvent, SwitchMechanism, UpdateKind,
 };
 
 use crate::inject::{AdvFate, Fate, Leg, NodeId};
@@ -28,7 +28,7 @@ use crate::node::{CarrierCore, CoreSession, Ue, UeId};
 use crate::radio::{achievable_kbps, ChannelConfig, Rssi};
 use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
-use crate::trace::{CallPhase, FaultEvent, FaultKind, HazardKind, TraceEvent, TraceType};
+use crate::trace::{CallPhase, FaultEvent, FaultKind, HazardKind, Note, TraceEvent, TraceType};
 use crate::world::{Ev, WorldConfig};
 
 /// Destination for the events the executive schedules: always a
@@ -67,6 +67,24 @@ impl<Q: EvSink> Exec<'_, Q> {
         self.queue.schedule(self.now + delay_ms, (self.ue.id, ev));
     }
 
+    /// Run one device-stack step and process the events it emits.
+    fn stack_step(&mut self, step: impl FnOnce(&mut DeviceStack, &mut Vec<StackEvent>)) {
+        let mut evs = Vec::new();
+        step(&mut self.ue.stack, &mut evs);
+        self.process_stack_events(evs);
+    }
+
+    /// Trace an entry at the current time.
+    fn record(
+        &mut self,
+        trace_type: TraceType,
+        system: RatSystem,
+        module: Protocol,
+        event: TraceEvent,
+    ) {
+        self.ue.trace.record(self.now, trace_type, system, module, event);
+    }
+
     /// The carrier session serving this UE.
     fn sess(&mut self) -> &mut CoreSession {
         self.carrier.session(self.ue.imsi)
@@ -93,9 +111,7 @@ impl<Q: EvSink> Exec<'_, Q> {
         match ev {
             Ev::PowerOn(system) => {
                 self.ue.user_detached = false;
-                let mut evs = Vec::new();
-                self.ue.stack.power_on(system, &mut evs);
-                self.process_stack_events(evs);
+                self.stack_step(|s, evs| s.power_on(system, evs));
             }
             Ev::Detach => {
                 self.ue.user_detached = true;
@@ -119,23 +135,15 @@ impl<Q: EvSink> Exec<'_, Q> {
             }
             Ev::Dial => self.on_dial(),
             Ev::IncomingCall => self.on_incoming_call(),
-            Ev::Answer => {
-                let mut evs = Vec::new();
-                self.ue.stack.answer(&mut evs);
-                self.process_stack_events(evs);
-            }
+            Ev::Answer => self.stack_step(|s, evs| s.answer(evs)),
             Ev::WifiAvailable => self.on_wifi_available(),
             Ev::CoverageEnter3g => {
                 if self.ue.stack.serving == RatSystem::Lte4g && !self.ue.call_in_progress() {
-                    let mut evs = Vec::new();
-                    self.ue.stack.switch_4g_to_3g(&mut evs);
-                    self.process_stack_events(evs);
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.stack_step(|s, evs| s.switch_4g_to_3g(evs));
+                    self.record(
                         TraceType::State,
                         RatSystem::Utran3g,
                         Protocol::Emm,
-                        "coverage mobility: camped on 3G",
                         TraceEvent::CampedOn(RatSystem::Utran3g),
                     );
                 }
@@ -148,21 +156,13 @@ impl<Q: EvSink> Exec<'_, Q> {
                     self.on_return_to_4g();
                 }
             }
-            Ev::Hangup => {
-                let mut evs = Vec::new();
-                self.ue.stack.hangup(&mut evs);
-                self.process_stack_events(evs);
-            }
+            Ev::Hangup => self.stack_step(|s, evs| s.hangup(evs)),
             Ev::DataStart { high_rate } => {
-                let mut evs = Vec::new();
-                self.ue.stack.data_on(high_rate, &mut evs);
-                self.process_stack_events(evs);
+                self.stack_step(|s, evs| s.data_on(high_rate, evs));
                 self.ue.data_session_active = true;
             }
             Ev::DataStop(cause) => {
-                let mut evs = Vec::new();
-                self.ue.stack.data_off(cause, &mut evs);
-                self.process_stack_events(evs);
+                self.stack_step(|s, evs| s.data_off(cause, evs));
                 self.ue.data_session_active = false;
             }
             Ev::NetworkDeactivatePdp(cause) => {
@@ -207,28 +207,14 @@ impl<Q: EvSink> Exec<'_, Q> {
             Ev::CsfbFallbackComplete => self.on_csfb_fallback_complete(),
             Ev::CheckReselection => self.on_check_reselection(),
             Ev::ReturnTo4gComplete => self.on_return_to_4g(),
-            Ev::MmWaitNetCmdDone => {
-                let mut evs = Vec::new();
-                self.ue.stack.mm_network_command_done(&mut evs);
-                self.process_stack_events(evs);
-            }
+            Ev::MmWaitNetCmdDone => self.stack_step(|s, evs| s.mm_network_command_done(evs)),
             Ev::EmmRetryTimer => {
                 self.ue.emm_retry_armed = false;
-                let mut evs = Vec::new();
-                self.ue.stack.emm_retry_timer(&mut evs);
-                self.process_stack_events(evs);
+                self.stack_step(|s, evs| s.emm_retry_timer(evs));
             }
-            Ev::NasTimer(t) => {
-                let mut evs = Vec::new();
-                self.ue.stack.nas_timer(t, &mut evs);
-                self.process_stack_events(evs);
-            }
+            Ev::NasTimer(t) => self.stack_step(|s, evs| s.nas_timer(t, evs)),
             Ev::FaultPhaseEnd(i) => self.on_fault_phase_end(i),
-            Ev::TriggerUpdate(kind) => {
-                let mut evs = Vec::new();
-                self.ue.stack.trigger_update(kind, &mut evs);
-                self.process_stack_events(evs);
-            }
+            Ev::TriggerUpdate(kind) => self.stack_step(|s, evs| s.trigger_update(kind, evs)),
             Ev::SpeedtestSample { uplink } => self.on_speedtest(uplink),
             Ev::DrivePosition => self.on_drive_position(),
         }
@@ -245,12 +231,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                 cellstack::mm::MmDeviceState::LocationUpdating
                     | cellstack::mm::MmDeviceState::WaitForNetworkCommand
             );
-        self.ue.trace.record_event(
-            self.now,
+        self.record(
             TraceType::UserAction,
             self.ue.stack.serving,
             Protocol::CmCc,
-            "user dials",
             TraceEvent::Call(CallPhase::Dialed),
         );
         if self.ue.stack.serving == RatSystem::Lte4g {
@@ -263,9 +247,7 @@ impl<Q: EvSink> Exec<'_, Q> {
             let d = self.cfg.op.csfb_fallback_delay.sample_ms(&mut self.ue.rng);
             self.schedule_in(d, Ev::CsfbFallbackComplete);
         } else {
-            let mut evs = Vec::new();
-            self.ue.stack.dial(&mut evs);
-            self.process_stack_events(evs);
+            self.stack_step(|s, evs| s.dial(evs));
         }
     }
 
@@ -275,12 +257,10 @@ impl<Q: EvSink> Exec<'_, Q> {
         }
         self.ue.dial_time = Some(self.now);
         self.ue.dial_during_update = false;
-        self.ue.trace.record_event(
-            self.now,
+        self.record(
             TraceType::UserAction,
             self.ue.stack.serving,
             Protocol::CmCc,
-            "incoming call (network pages the device)",
             TraceEvent::Call(CallPhase::Incoming),
         );
         if self.ue.stack.serving == RatSystem::Lte4g {
@@ -302,12 +282,11 @@ impl<Q: EvSink> Exec<'_, Q> {
     }
 
     fn on_wifi_available(&mut self) {
-        self.ue.trace.record(
-            self.now,
+        self.record(
             TraceType::UserAction,
             self.ue.stack.serving,
             Protocol::Sm,
-            "Wi-Fi available: mobile data disabled",
+            TraceEvent::Note(Note::WifiDataOff),
         );
         // "Most smartphones will disable the mobile data service whenever a
         // local WiFi network is accessible" (§5.1.3).
@@ -316,12 +295,8 @@ impl<Q: EvSink> Exec<'_, Q> {
         {
             // HTC One / LG Optimus G additionally deactivate all PDP
             // contexts — the Wi-Fi flavour of the S1 trigger.
-            let mut evs = Vec::new();
-            self.ue.stack.data_off(
-                cellstack::PdpDeactivationCause::RegularDeactivation,
-                &mut evs,
-            );
-            self.process_stack_events(evs);
+            let cause = cellstack::PdpDeactivationCause::RegularDeactivation;
+            self.stack_step(|s, evs| s.data_off(cause, evs));
         } else {
             self.ue.stack.data_enabled = false;
         }
@@ -329,15 +304,11 @@ impl<Q: EvSink> Exec<'_, Q> {
 
     fn on_csfb_fallback_complete(&mut self) {
         let defer = self.cfg.op.defer_csfb_first_update;
-        let mut evs = Vec::new();
-        self.ue.stack.switch_4g_to_3g_with(defer, &mut evs);
-        self.process_stack_events(evs);
-        self.ue.trace.record_event(
-            self.now,
+        self.stack_step(|s, evs| s.switch_4g_to_3g_with(defer, evs));
+        self.record(
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::Rrc3g,
-            "CSFB fallback complete: camped on 3G",
             TraceEvent::CampedOn(RatSystem::Utran3g),
         );
         if let Some(c) = self.ue.csfb.as_mut() {
@@ -353,9 +324,7 @@ impl<Q: EvSink> Exec<'_, Q> {
             }
         } else {
             // Dial now that we are camped on 3G.
-            let mut evs = Vec::new();
-            self.ue.stack.dial(&mut evs);
-            self.process_stack_events(evs);
+            self.stack_step(|s, evs| s.dial(evs));
         }
     }
 
@@ -429,12 +398,10 @@ impl<Q: EvSink> Exec<'_, Q> {
         self.ue.stack.switch_3g_to_4g(&mut evs);
         // The device camps the instant the switch completes; consequences
         // of the switch (deregistration, context loss) trace after it.
-        self.ue.trace.record_event(
-            self.now,
+        self.record(
             TraceType::State,
             RatSystem::Lte4g,
             Protocol::Rrc4g,
-            "returned to 4G: camped on LTE",
             TraceEvent::CampedOn(RatSystem::Lte4g),
         );
         self.process_stack_events(evs);
@@ -446,12 +413,10 @@ impl<Q: EvSink> Exec<'_, Q> {
             && !self.ue.stack.emm.remedy_reactivate_bearer
         {
             self.ue.metrics.s1_events += 1;
-            self.ue.trace.record_event(
-                self.now,
+            self.record(
                 TraceType::State,
                 RatSystem::Lte4g,
                 Protocol::Emm,
-                "3G->4G switch without PDP context (S1 hazard)",
                 TraceEvent::Hazard(HazardKind::S1ContextLoss),
             );
         }
@@ -493,10 +458,7 @@ impl<Q: EvSink> Exec<'_, Q> {
             with_call,
             kbps,
         });
-        let dir = if uplink { "uplink" } else { "downlink" };
-        let voice = if with_call { " (CS voice active)" } else { "" };
-        self.ue.trace.record_event_with(
-            self.now,
+        self.record(
             TraceType::Measurement,
             self.ue.stack.serving,
             match self.ue.stack.serving {
@@ -508,7 +470,6 @@ impl<Q: EvSink> Exec<'_, Q> {
                 with_call,
                 kbps: kbps.round() as u64,
             },
-            || format!("{dir} throughput sample: {} kbps{voice}", kbps.round() as u64),
         );
     }
 
@@ -522,9 +483,7 @@ impl<Q: EvSink> Exec<'_, Q> {
         self.ue.metrics.rssi_samples.push((mile, rssi.0));
         self.ue.last_mile = mile;
         for _ in 0..crossings {
-            let mut evs = Vec::new();
-            self.ue.stack.trigger_update(UpdateKind::LocationArea, &mut evs);
-            self.process_stack_events(evs);
+            self.stack_step(|s, evs| s.trigger_update(UpdateKind::LocationArea, evs));
         }
         if mile < drive.route.length_miles {
             self.schedule_in(1_000, Ev::DrivePosition);
@@ -536,20 +495,14 @@ impl<Q: EvSink> Exec<'_, Q> {
     // ------------------------------------------------------------------
 
     fn on_arrive_at_core(&mut self, system: RatSystem, domain: Domain, msg: NasMessage) {
-        self.ue.trace.record_event_with(
-            self.now,
+        self.record(
             TraceType::Signaling,
             system,
-            match (system, domain) {
-                (RatSystem::Lte4g, _) => Protocol::Emm,
-                (RatSystem::Utran3g, Domain::Cs) => Protocol::Mm,
-                (RatSystem::Utran3g, Domain::Ps) => Protocol::Gmm,
-            },
+            nas_module(system, domain),
             TraceEvent::Nas {
                 uplink: true,
                 msg: msg.clone(),
             },
-            || format!("core received: {}", msg.wire_name()),
         );
         match (system, domain) {
             (RatSystem::Lte4g, _) => {
@@ -557,12 +510,11 @@ impl<Q: EvSink> Exec<'_, Q> {
                     self.ue.metrics.attach_attempts += 1;
                     // The MME consults the HSS before admitting (Figure 1).
                     if let Err(cause) = self.carrier.hss.admit_4g(self.ue.imsi) {
-                        self.ue.trace.record(
-                            self.now,
+                        self.record(
                             TraceType::Signaling,
                             RatSystem::Lte4g,
                             Protocol::Emm,
-                            format!("HSS rejected attach: {cause:?}"),
+                            TraceEvent::Note(Note::HssRejectedAttach(cause)),
                         );
                         self.schedule_downlink(
                             RatSystem::Lte4g,
@@ -663,13 +615,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                         self.ue.reattach_ready_at = Some(self.now + pace);
                         if matches!(m, NasMessage::NetworkDetach(_)) {
                             self.ue.metrics.s6_events += 1;
-                            self.ue.trace.record_event(
-                                self.now,
+                            self.record(
                                 TraceType::State,
                                 RatSystem::Lte4g,
                                 Protocol::Emm,
-                                "3G location-update failure propagated to 4G: \
-                                 MME detaches the device (S6 hazard)",
                                 TraceEvent::Hazard(HazardKind::S6FailurePropagated),
                             );
                         }
@@ -689,12 +638,11 @@ impl<Q: EvSink> Exec<'_, Q> {
                     // Outcomes stay inside the core; nothing reaches the
                     // device.
                     let _ = out;
-                    self.ue.trace.record(
-                        self.now,
+                    self.record(
                         TraceType::Signaling,
                         RatSystem::Lte4g,
                         Protocol::Emm,
-                        "MME recovered 3G location update in-core (remedy)",
+                        TraceEvent::Note(Note::LuRecoveredInCore),
                     );
                 }
             }
@@ -786,12 +734,10 @@ impl<Q: EvSink> Exec<'_, Q> {
         } else if system == RatSystem::Lte4g {
             match self.cfg.inject_dl_4g.fate(&mut self.ue.rng) {
                 Fate::Drop => {
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::Signaling,
                         system,
                         Protocol::Rrc4g,
-                        format!("downlink {} lost over the air", msg.wire_name()),
                         TraceEvent::Fault(FaultEvent::on_leg(FaultKind::Drop, Leg::Dl4g, msg)),
                     );
                     return;
@@ -821,19 +767,16 @@ impl<Q: EvSink> Exec<'_, Q> {
     }
 
     /// Record an injected fault in the trace, typed and queryable — the
-    /// human-readable description is derived from the structured record.
+    /// human-readable description is rendered from the record on read.
     fn record_fault(&mut self, system: RatSystem, fault: FaultEvent) {
         let proto = match system {
             RatSystem::Lte4g => Protocol::Rrc4g,
             RatSystem::Utran3g => Protocol::Rrc3g,
         };
-        let desc = fault.describe();
-        self.ue.trace.record_event(
-            self.now,
+        self.record(
             TraceType::Fault,
             system,
             proto,
-            desc,
             TraceEvent::Fault(fault),
         );
     }
@@ -892,20 +835,14 @@ impl<Q: EvSink> Exec<'_, Q> {
             }
             _ => {}
         }
-        self.ue.trace.record_event_with(
-            self.now,
+        self.record(
             TraceType::Signaling,
             system,
-            match (system, domain) {
-                (RatSystem::Lte4g, _) => Protocol::Emm,
-                (RatSystem::Utran3g, Domain::Cs) => Protocol::Mm,
-                (RatSystem::Utran3g, Domain::Ps) => Protocol::Gmm,
-            },
+            nas_module(system, domain),
             TraceEvent::Nas {
                 uplink: false,
                 msg: msg.clone(),
             },
-            || format!("device received: {}", msg.wire_name()),
         );
         // Implicit-detach accounting (the Figure 12-left y-axis): a
         // network-caused detach delivered to an in-service device.
@@ -917,18 +854,14 @@ impl<Q: EvSink> Exec<'_, Q> {
             && system == RatSystem::Lte4g;
         if implicit {
             self.ue.metrics.implicit_detaches += 1;
-            self.ue.trace.record_event(
-                self.now,
+            self.record(
                 TraceType::State,
                 RatSystem::Lte4g,
                 Protocol::Emm,
-                "network-caused detach reached an in-service device",
                 TraceEvent::Hazard(HazardKind::ImplicitDetach),
             );
         }
-        let mut evs = Vec::new();
-        self.ue.stack.deliver_nas(system, domain, msg, &mut evs);
-        self.process_stack_events(evs);
+        self.stack_step(|s, evs| s.deliver_nas(system, domain, msg, evs));
     }
 
     fn process_stack_events(&mut self, evs: Vec<StackEvent>) {
@@ -951,12 +884,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                             .oos_durations_ms
                             .push(self.now.since(start));
                     }
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         self.ue.stack.serving,
                         Protocol::Emm,
-                        "registered (in service)",
                         TraceEvent::Registration {
                             registered: true,
                             system: self.ue.stack.serving,
@@ -968,12 +899,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                     if self.ue.oos_since.is_none() && !self.ue.user_detached {
                         self.ue.oos_since = Some(self.now);
                     }
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         self.ue.stack.serving,
                         Protocol::Emm,
-                        "deregistered (out of service)",
                         TraceEvent::Registration {
                             registered: false,
                             system: self.ue.stack.serving,
@@ -984,12 +913,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                     // Figure 10: the carrier reconfigures the shared channel
                     // to a robust modulation for the call.
                     if !self.cfg.decoupled_channels {
-                        self.ue.trace.record_event(
-                            self.now,
+                        self.record(
                             TraceType::RadioConfig,
                             RatSystem::Utran3g,
                             Protocol::Rrc3g,
-                            "64QAM disabled during CS voice call (shared channel -> 16QAM)",
                             TraceEvent::RadioConfig { allow_64qam: false },
                         );
                     }
@@ -1007,12 +934,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                     if let Some(ms) = self.cfg.auto_hangup_after_ms {
                         self.schedule_in(ms, Ev::Hangup);
                     }
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         RatSystem::Utran3g,
                         Protocol::CmCc,
-                        "call connected",
                         TraceEvent::Call(CallPhase::Connected),
                     );
                 }
@@ -1022,23 +947,19 @@ impl<Q: EvSink> Exec<'_, Q> {
                 StackEvent::CallFailed => {
                     self.ue.metrics.failed_calls += 1;
                     self.ue.dial_time = None;
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         self.ue.stack.serving,
                         Protocol::CmCc,
-                        "call setup failed",
                         TraceEvent::Call(CallPhase::Failed),
                     );
                 }
                 StackEvent::ServiceRequestBlocked => {
                     self.ue.metrics.blocked_requests += 1;
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         RatSystem::Utran3g,
                         Protocol::Mm,
-                        "CM service request blocked behind location update (S4 hazard)",
                         TraceEvent::Hazard(HazardKind::S4HolBlocked),
                     );
                 }
@@ -1047,12 +968,10 @@ impl<Q: EvSink> Exec<'_, Q> {
                     // "When all retries fail, the device may start to try
                     // 3G" (§5.1.2): camp on 3G and attach there. The
                     // out-of-service window closes when 3G registers.
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::State,
                         RatSystem::Utran3g,
                         Protocol::Gmm,
-                        "4G attach retries exhausted; falling back to 3G",
                         TraceEvent::CampedOn(RatSystem::Utran3g),
                     );
                     self.ue.stack.serving = RatSystem::Utran3g;
@@ -1089,13 +1008,12 @@ impl<Q: EvSink> Exec<'_, Q> {
                         .max(1.0) as u64;
                     self.schedule_in(ms, Ev::NasTimer(t));
                 }
-                StackEvent::Trace(module, desc) => {
-                    self.ue.trace.record(
-                        self.now,
+                StackEvent::Trace(module, note) => {
+                    self.record(
                         TraceType::State,
                         self.ue.stack.serving,
                         module,
-                        desc,
+                        TraceEvent::Note(Note::Stack(note)),
                     );
                 }
                 // The 5G NR leg is not simulated by this 3G/4G fleet; its
@@ -1112,21 +1030,17 @@ impl<Q: EvSink> Exec<'_, Q> {
     fn on_call_released(&mut self, work: &mut VecDeque<StackEvent>) {
         self.ue.call_end_time = Some(self.now);
         if !self.cfg.decoupled_channels {
-            self.ue.trace.record_event(
-                self.now,
+            self.record(
                 TraceType::RadioConfig,
                 RatSystem::Utran3g,
                 Protocol::Rrc3g,
-                "64QAM re-enabled (CS voice call ended)",
                 TraceEvent::RadioConfig { allow_64qam: true },
             );
         }
-        self.ue.trace.record_event(
-            self.now,
+        self.record(
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::CmCc,
-            "call released",
             TraceEvent::Call(CallPhase::Released),
         );
         // CSFB: the deferred first LU fires now, then the return-to-4G
@@ -1262,12 +1176,10 @@ impl<Q: EvSink> Exec<'_, Q> {
         } else if system == RatSystem::Lte4g {
             match self.cfg.inject_ul_4g.fate(&mut self.ue.rng) {
                 Fate::Drop => {
-                    self.ue.trace.record_event(
-                        self.now,
+                    self.record(
                         TraceType::Signaling,
                         system,
                         Protocol::Rrc4g,
-                        format!("uplink {} lost over the air", msg.wire_name()),
                         TraceEvent::Fault(FaultEvent::on_leg(FaultKind::Drop, Leg::Ul4g, msg)),
                     );
                     return;
@@ -1307,5 +1219,14 @@ pub(crate) fn leg_for(system: RatSystem, domain: Domain, uplink: bool) -> Leg {
         (RatSystem::Utran3g, Domain::Cs, false) => Leg::Dl3gCs,
         (RatSystem::Utran3g, Domain::Ps, true) => Leg::Ul3gPs,
         (RatSystem::Utran3g, Domain::Ps, false) => Leg::Dl3gPs,
+    }
+}
+
+/// The NAS module that traces a message on `system`/`domain`.
+fn nas_module(system: RatSystem, domain: Domain) -> Protocol {
+    match (system, domain) {
+        (RatSystem::Lte4g, _) => Protocol::Emm,
+        (RatSystem::Utran3g, Domain::Cs) => Protocol::Mm,
+        (RatSystem::Utran3g, Domain::Ps) => Protocol::Gmm,
     }
 }

@@ -9,9 +9,9 @@
 //! fires or a timed step's deadline passes. [`Monitor::finish`] closes
 //! the trace and settles anything still pending.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::trace::{TraceEntry, WireEvent};
 use crate::SimTime;
 
 use crate::verify::pattern::Pattern;
@@ -100,23 +100,46 @@ impl Signature {
         self.forbidden.push((label.into(), pattern));
         self
     }
+
+    /// Label a run's matched entries (one per completed step, in order)
+    /// with the steps they satisfied.
+    pub fn evidence(&self, span: Vec<TraceEntry>) -> Vec<MatchedEvent> {
+        self.steps
+            .iter()
+            .zip(span)
+            .map(|(step, entry)| MatchedEvent {
+                step: step.label.clone(),
+                entry,
+            })
+            .collect()
+    }
 }
 
-/// One matched event of an evidence span.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One matched event of an evidence span: the entry that satisfied a
+/// step. Its JSON is `{ts, step, desc, event}`, the description rendered
+/// from the entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchedEvent {
-    /// When the event was observed.
-    pub ts: SimTime,
     /// The step label it satisfied.
     pub step: String,
-    /// The trace entry's description.
-    pub desc: String,
-    /// The typed payload.
-    pub event: TraceEvent,
+    /// The matched trace entry.
+    pub entry: TraceEntry,
+}
+
+impl Serialize for MatchedEvent {
+    fn to_value(&self) -> Value {
+        let e = &self.entry;
+        Value::Map(vec![
+            ("ts".into(), e.ts.to_value()),
+            ("step".into(), self.step.to_value()),
+            ("desc".into(), Value::Str(e.desc().to_string())),
+            ("event".into(), WireEvent(&e.event).to_value()),
+        ])
+    }
 }
 
 /// The full outcome of running one monitor over one trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct MonitorReport {
     /// Signature name.
     pub signature: String,
@@ -131,54 +154,66 @@ pub struct MonitorReport {
     pub refutation: Option<String>,
 }
 
+/// Why a monitor refuted, kept typed until [`Monitor::report`] renders it.
+/// The awaited step is the monitor's `next` at refutation time.
+#[derive(Clone, Debug)]
+enum Refutation {
+    /// A negation arc fired on the entry: the signature-global arc with
+    /// this index, or (`None`) one of the awaited step's.
+    Forbidden(Option<usize>, TraceEntry),
+    /// The awaited step's deadline passed: an entry arrived at `at`, or
+    /// (`ended`) the trace ended there.
+    Expired { at: SimTime, deadline: SimTime, ended: bool },
+}
+
 /// Online evaluator for one [`Signature`].
 #[derive(Clone, Debug)]
 pub struct Monitor {
     sig: Signature,
     next: usize,
     anchor: SimTime,
-    span: Vec<MatchedEvent>,
+    /// The entry that satisfied each completed step, in step order.
+    span: Vec<TraceEntry>,
     verdict: Verdict,
-    refutation: Option<String>,
+    refutation: Option<Refutation>,
 }
 
 impl Monitor {
     /// A monitor at the start of `sig`, anchored at trace time zero.
     pub fn new(sig: Signature) -> Self {
-        let verdict = if sig.steps.is_empty() {
-            // Degenerate: nothing to wait for.
-            Verdict::Confirmed
-        } else {
-            Verdict::Inconclusive
-        };
-        Self {
+        let mut m = Self {
             sig,
             next: 0,
             anchor: SimTime::from_millis(0),
             span: Vec::new(),
-            verdict,
+            verdict: Verdict::Inconclusive,
             refutation: None,
-        }
+        };
+        m.restart(SimTime::from_millis(0));
+        m
     }
 
-    /// A monitor at the start of `sig`, anchored at `anchor` instead of
-    /// trace time zero — the restart shape used when counting repeated
-    /// occurrences over one long stream, where "trace start" for a timed
-    /// first step is the point the previous occurrence settled.
-    pub fn new_anchored(sig: Signature, anchor: SimTime) -> Self {
-        let mut m = Self::new(sig);
-        m.anchor = anchor;
-        m
+    /// Reset to the first step in place, anchored at `anchor`, and hand
+    /// back the entries the settled run matched. This is the restart used
+    /// when counting repeated occurrences over one long stream, where
+    /// "trace start" for a timed first step is the point the previous
+    /// occurrence settled.
+    pub fn restart(&mut self, anchor: SimTime) -> Vec<TraceEntry> {
+        self.next = 0;
+        self.anchor = anchor;
+        // Degenerate: a stepless signature has nothing to wait for.
+        self.verdict = if self.sig.steps.is_empty() {
+            Verdict::Confirmed
+        } else {
+            Verdict::Inconclusive
+        };
+        self.refutation = None;
+        std::mem::take(&mut self.span)
     }
 
     /// The current verdict.
     pub fn verdict(&self) -> Verdict {
         self.verdict
-    }
-
-    /// The signature being evaluated.
-    pub fn signature(&self) -> &Signature {
-        &self.sig
     }
 
     fn deadline(&self) -> Option<SimTime> {
@@ -187,7 +222,7 @@ impl Monitor {
             .map(|ms| self.anchor + ms)
     }
 
-    fn refute(&mut self, why: String) -> Verdict {
+    fn refute(&mut self, why: Refutation) -> Verdict {
         self.verdict = Verdict::Refuted;
         self.refutation = Some(why);
         Verdict::Refuted
@@ -202,42 +237,20 @@ impl Monitor {
         if self.verdict.is_definite() {
             return self.verdict;
         }
-        for (label, pat) in &self.sig.forbidden {
-            if pat.matches(entry) {
-                let why = format!("forbidden event at {}: {label} ({})", entry.ts.hhmmss(), entry.desc);
-                return self.refute(why);
-            }
+        if let Some(i) = self.sig.forbidden.iter().position(|(_, pat)| pat.matches(entry)) {
+            return self.refute(Refutation::Forbidden(Some(i), entry.clone()));
         }
         let step = &self.sig.steps[self.next];
-        for pat in &step.forbidden {
-            if pat.matches(entry) {
-                let why = format!(
-                    "forbidden while awaiting `{}` at {}: {}",
-                    step.label,
-                    entry.ts.hhmmss(),
-                    entry.desc
-                );
-                return self.refute(why);
-            }
+        if step.forbidden.iter().any(|pat| pat.matches(entry)) {
+            return self.refute(Refutation::Forbidden(None, entry.clone()));
         }
         if let Some(deadline) = self.deadline() {
             if entry.ts > deadline {
-                let why = format!(
-                    "step `{}` expired at {} (deadline {})",
-                    step.label,
-                    entry.ts.hhmmss(),
-                    deadline.hhmmss()
-                );
-                return self.refute(why);
+                return self.refute(Refutation::Expired { at: entry.ts, deadline, ended: false });
             }
         }
         if step.pattern.matches(entry) {
-            self.span.push(MatchedEvent {
-                ts: entry.ts,
-                step: step.label.clone(),
-                desc: entry.desc.clone(),
-                event: entry.event.clone(),
-            });
+            self.span.push(entry.clone());
             self.anchor = entry.ts;
             self.next += 1;
             if self.next == self.sig.steps.len() {
@@ -256,36 +269,47 @@ impl Monitor {
         }
         if let Some(deadline) = self.deadline() {
             if end > deadline {
-                let why = format!(
-                    "step `{}` still unmatched when the trace ended at {} (deadline {})",
-                    self.sig.steps[self.next].label,
-                    end.hhmmss(),
-                    deadline.hhmmss()
-                );
-                return self.refute(why);
+                return self.refute(Refutation::Expired { at: end, deadline, ended: true });
             }
         }
         self.verdict
     }
 
-    /// Snapshot the outcome.
+    /// Snapshot the outcome, rendering the span and refutation text.
     pub fn report(&self) -> MonitorReport {
         MonitorReport {
             signature: self.sig.name.clone(),
             verdict: self.verdict,
-            span: self.span.clone(),
+            span: self.sig.evidence(self.span.clone()),
             steps_total: self.sig.steps.len(),
-            refutation: self.refutation.clone(),
+            refutation: self.refutation.as_ref().map(|r| self.render(r)),
         }
     }
-}
 
-impl MonitorReport {
-    /// Render the span as `hh:mm:ss.ms step — desc` lines.
-    pub fn span_lines(&self) -> Vec<String> {
-        self.span
-            .iter()
-            .map(|m| format!("{} {:<22} {}", m.ts.hhmmss(), m.step, m.desc))
-            .collect()
+    fn render(&self, why: &Refutation) -> String {
+        let label = &self.sig.steps[self.next].label;
+        match why {
+            Refutation::Forbidden(Some(i), e) => format!(
+                "forbidden event at {}: {} ({})",
+                e.ts.hhmmss(),
+                self.sig.forbidden[*i].0,
+                e.desc()
+            ),
+            Refutation::Forbidden(None, e) => format!(
+                "forbidden while awaiting `{label}` at {}: {}",
+                e.ts.hhmmss(),
+                e.desc()
+            ),
+            Refutation::Expired { at, deadline, ended: false } => format!(
+                "step `{label}` expired at {} (deadline {})",
+                at.hhmmss(),
+                deadline.hhmmss()
+            ),
+            Refutation::Expired { at, deadline, ended: true } => format!(
+                "step `{label}` still unmatched when the trace ended at {} (deadline {})",
+                at.hhmmss(),
+                deadline.hhmmss()
+            ),
+        }
     }
 }

@@ -162,12 +162,19 @@ impl LaneBank {
         self.counts.poisoned
     }
 
-    fn settle(&mut self, k: usize, ts: SimTime, verdict: Verdict, span: Vec<MatchedEvent>) {
+    fn settle(
+        &mut self,
+        k: usize,
+        sig: &Signature,
+        ts: SimTime,
+        verdict: Verdict,
+        span: Vec<TraceEntry>,
+    ) {
         match verdict {
             Verdict::Confirmed => {
                 self.counts.confirmed[k] += 1;
                 if self.keep_spans {
-                    self.counts.spans[k].push(span);
+                    self.counts.spans[k].push(sig.evidence(span));
                 }
             }
             Verdict::Refuted => self.counts.refuted[k] += 1,
@@ -194,9 +201,8 @@ impl LaneBank {
             let m = &mut self.monitors[k];
             if m.feed(entry).is_definite() {
                 let verdict = m.verdict();
-                let span = m.report().span;
-                *m = Monitor::new_anchored(sig.clone(), entry.ts);
-                self.settle(k, entry.ts, verdict, span);
+                let span = m.restart(entry.ts);
+                self.settle(k, sig, entry.ts, verdict, span);
             }
         }
     }
@@ -241,8 +247,8 @@ impl LaneBank {
             let m = &mut self.monitors[k];
             let verdict = m.finish(end);
             if verdict.is_definite() {
-                let span = m.report().span;
-                self.settle(k, end, verdict, span);
+                let span = m.restart(end);
+                self.settle(k, sig, end, verdict, span);
             }
         }
     }
@@ -262,12 +268,11 @@ mod tests {
     use cellstack::{Protocol, RatSystem};
 
     fn record(t: &mut TraceCollector, at_ms: u64, event: TraceEvent) {
-        t.record_event(
+        t.record(
             SimTime::from_millis(at_ms),
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::Rrc3g,
-            "synthetic",
             event,
         );
     }
@@ -358,7 +363,7 @@ mod tests {
         assert_eq!(spans[0].len(), 1);
         assert_eq!(spans[0][0].len(), 2);
         assert_eq!(spans[0][0][0].step, "connected");
-        assert_eq!(spans[0][0][1].ts, SimTime::from_millis(40_000));
+        assert_eq!(spans[0][0][1].entry.ts, SimTime::from_millis(40_000));
     }
 
     #[test]

@@ -277,12 +277,11 @@ mod tests {
 
     fn entry(event: TraceEvent) -> TraceEntry {
         let mut t = TraceCollector::new();
-        t.record_event(
+        t.record(
             SimTime::from_secs(1),
             TraceType::Signaling,
             RatSystem::Utran3g,
             Protocol::Mm,
-            "test",
             event,
         );
         t.entries()[0].clone()
@@ -290,7 +289,7 @@ mod tests {
 
     #[test]
     fn wildcards_match_anything() {
-        assert!(Pattern::Any.matches(&entry(TraceEvent::Note)));
+        assert!(Pattern::Any.matches(&entry(TraceEvent::Note(crate::trace::Note::WifiDataOff))));
         assert!(Pattern::Any.matches(&entry(TraceEvent::CampedOn(RatSystem::Lte4g))));
     }
 

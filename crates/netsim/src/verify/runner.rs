@@ -23,10 +23,10 @@ pub fn run_signature(sig: Signature, entries: &[TraceEntry], end: SimTime) -> Mo
 /// many independent episodes of the same hazard.
 ///
 /// The automaton restarts whenever it settles: a `Confirmed` verdict
-/// counts one occurrence and a fresh monitor (anchored at the settling
-/// entry's timestamp) takes over from the *next* entry, so matched
-/// episodes never overlap and a refuted prefix can never mask a later
-/// genuine occurrence. A final occurrence still pending at `end` is
+/// counts one occurrence and [`Monitor::restart`] (anchored at the
+/// settling entry's timestamp) takes over from the *next* entry, so
+/// matched episodes never overlap and a refuted prefix can never mask a
+/// later genuine occurrence. A final occurrence still pending at `end` is
 /// settled by [`Monitor::finish`].
 pub fn count_signature(sig: &Signature, entries: &[TraceEntry], end: SimTime) -> usize {
     if sig.steps.is_empty() {
@@ -41,7 +41,7 @@ pub fn count_signature(sig: &Signature, entries: &[TraceEntry], end: SimTime) ->
             if m.verdict() == Verdict::Confirmed {
                 count += 1;
             }
-            m = Monitor::new_anchored(sig.clone(), e.ts);
+            m.restart(e.ts);
         }
     }
     if m.finish(end) == Verdict::Confirmed {
@@ -108,12 +108,11 @@ mod tests {
     use crate::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
 
     fn record(t: &mut TraceCollector, at_ms: u64, event: TraceEvent) {
-        t.record_event(
+        t.record(
             SimTime::from_millis(at_ms),
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::Rrc3g,
-            "synthetic",
             event,
         );
     }

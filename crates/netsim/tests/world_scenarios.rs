@@ -649,10 +649,10 @@ mod s4_ps_side_tests {
         w.run_until(SimTime::from_secs(10));
         let jsonl = w.trace.to_jsonl();
         assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            let entry: netsim::trace::TraceEntry =
-                serde_json::from_str(line).expect("every line parses");
-            assert!(!entry.desc.is_empty());
+        for (line, entry) in jsonl.lines().zip(w.trace.entries()) {
+            let back: serde_json::Value = serde_json::from_str(line).expect("every line parses");
+            assert_eq!(back, serde::Serialize::to_value(entry));
+            assert!(!entry.desc().to_string().is_empty());
         }
     }
 }

@@ -78,8 +78,8 @@ pub fn s6_detach() -> Signature {
 }
 
 /// Collect every confirmed evidence span of `sig` across one long trace:
-/// the monitor restarts (anchored at the settling entry) after each
-/// definite verdict, so matched episodes never overlap and a refuted
+/// the monitor restarts in place (anchored at the settling entry) after
+/// each definite verdict, so matched episodes never overlap and a refuted
 /// prefix cannot mask a later occurrence.
 pub fn collect_spans(sig: &Signature, entries: &[TraceEntry]) -> Vec<Vec<MatchedEvent>> {
     let mut spans = Vec::new();
@@ -89,10 +89,11 @@ pub fn collect_spans(sig: &Signature, entries: &[TraceEntry]) -> Vec<Vec<Matched
     let mut m = Monitor::new(sig.clone());
     for e in entries {
         if m.feed(e).is_definite() {
-            if m.verdict() == Verdict::Confirmed {
-                spans.push(m.report().span);
+            let confirmed = m.verdict() == Verdict::Confirmed;
+            let span = m.restart(e.ts);
+            if confirmed {
+                spans.push(sig.evidence(span));
             }
-            m = Monitor::new_anchored(sig.clone(), e.ts);
         }
     }
     spans
@@ -133,11 +134,11 @@ pub fn episodes_from_spans(spans: &[Vec<MatchedEvent>]) -> Vec<StuckEpisode> {
             let released = span
                 .iter()
                 .find(|m| m.step == "call-released")
-                .map(|m| m.ts)?;
+                .map(|m| m.entry.ts)?;
             let returned = span
                 .iter()
                 .find(|m| m.step == "returned-to-4g")
-                .map(|m| m.ts)?;
+                .map(|m| m.entry.ts)?;
             Some(StuckEpisode { released, returned })
         })
         .collect()
@@ -169,12 +170,11 @@ mod tests {
     use netsim::trace::{TraceCollector, TraceEvent, TraceType};
 
     fn record(t: &mut TraceCollector, at_ms: u64, event: TraceEvent) {
-        t.record_event(
+        t.record(
             SimTime::from_millis(at_ms),
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::Rrc3g,
-            "synthetic",
             event,
         );
     }
@@ -244,12 +244,11 @@ mod tests {
             msg: NasMessage::NetworkDetach(EmmCause::MscTemporarilyNotReachable),
         };
         let on_4g = |t: &mut TraceCollector, at_ms: u64, event: TraceEvent| {
-            t.record_event(
+            t.record(
                 SimTime::from_millis(at_ms),
                 TraceType::Signaling,
                 RatSystem::Lte4g,
                 Protocol::Emm,
-                "synthetic",
                 event,
             );
         };

@@ -12,12 +12,11 @@ use userstudy::{analyze, build_population, s3_episodes, s5_overlap, spec_for};
 /// timestamp.
 fn push_call(t: &mut TraceCollector, at_ms: u64, with_data: bool, stuck_ms: u64) -> u64 {
     let mut rec = |ts: u64, event: TraceEvent| {
-        t.record_event(
+        t.record(
             SimTime::from_millis(ts),
             TraceType::State,
             RatSystem::Utran3g,
             Protocol::Rrc3g,
-            "synthetic",
             event,
         );
     };

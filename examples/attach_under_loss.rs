@@ -14,7 +14,7 @@
 use cellstack::{RatSystem, UpdateKind};
 use cnetverifier::models::attach::AttachModel;
 use mck::{Checker, Model, SearchStrategy};
-use netsim::{op_i, Ev, Injection, SimTime, World, WorldConfig};
+use netsim::{op_i, Ev, FaultKind, Injection, SimTime, TraceEvent, World, WorldConfig};
 
 fn main() {
     println!("=== S2: out-of-sequence signaling in the attach procedure ===\n");
@@ -59,7 +59,11 @@ fn main() {
         .trace
         .entries()
         .iter()
-        .filter(|e| e.desc.contains("lost") || e.desc.contains("deregistered"))
+        .filter(|e| match &e.event {
+            TraceEvent::Fault(f) => f.kind == FaultKind::Drop,
+            TraceEvent::Registration { registered, .. } => !registered,
+            _ => false,
+        })
         .take(6)
     {
         println!("   {line}");

@@ -58,8 +58,8 @@ fn s3_confirms_on_both_carriers_with_divergent_severity() {
             .find(|v| v.instance == Instance::S3 && v.operator == op)
             .unwrap();
         assert_eq!(v.verdict, Verdict::Confirmed, "{op}: {}", v.evidence);
-        let released = v.span.iter().find(|m| m.step == "call-released").unwrap().ts;
-        let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().ts;
+        let released = v.span.iter().find(|m| m.step == "call-released").unwrap().entry.ts;
+        let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().entry.ts;
         returned.since(released)
     };
     assert!(stuck_ms("OP-II") > 300_000, "OP-II tracks the data session");
