@@ -11,6 +11,8 @@
 //! straight into a caller-owned buffer. Primitives, strings, `Option`,
 //! references, sequences and derived types emit natively; the remaining
 //! hand-written impls fall back to rendering their [`Value`].
+//! [`write_json_display`] streams a `Display` value's text into the
+//! buffer as an escaped string, for impls whose text is rendered on read.
 //!
 //! The derive macros emit the same externally-tagged enum representation as
 //! upstream serde's default, so JSON produced by this stack is shaped like
@@ -79,12 +81,42 @@ pub trait Serialize {
 // inline them: without it every field costs a cross-crate call, which
 // nearly doubled the emit time of a trace entry.
 
-/// Append `s` as a JSON string literal. Runs of bytes that need no escape
-/// are copied in bulk; multi-byte UTF-8 passes through unchanged.
+/// Append `s` as a JSON string literal.
 #[inline]
 fn write_json_str(s: &str, out: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
     out.push(b'"');
+    escape_json_str(s, out);
+    out.push(b'"');
+}
+
+/// Append the `Display` text of `d` as a JSON string literal, escaping it
+/// as it is written: no intermediate `String` is built. The bytes equal
+/// those of `d.to_string()` serialized as a string.
+pub fn write_json_display<D: std::fmt::Display + ?Sized>(d: &D, out: &mut Vec<u8>) {
+    use std::fmt::Write;
+    out.push(b'"');
+    write!(Escaping(out), "{d}").expect("a Display implementation returned an error");
+    out.push(b'"');
+}
+
+/// The body of a JSON string: everything written through it is escaped
+/// into the buffer. Escapes are decided byte by byte, so where the writes
+/// split the text does not change the bytes.
+struct Escaping<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        escape_json_str(s, self.0);
+        Ok(())
+    }
+}
+
+/// Append `s` escaped for the inside of a JSON string literal. Runs of
+/// bytes that need no escape are copied in bulk; multi-byte UTF-8 passes
+/// through unchanged.
+#[inline]
+fn escape_json_str(s: &str, out: &mut Vec<u8>) {
+    let bytes = s.as_bytes();
     let mut run = 0;
     for (i, &b) in bytes.iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
@@ -107,7 +139,6 @@ fn write_json_str(s: &str, out: &mut Vec<u8>) {
         }
     }
     out.extend_from_slice(&bytes[run..]);
-    out.push(b'"');
 }
 
 /// Append the decimal digits of `n`.

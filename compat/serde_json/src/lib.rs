@@ -433,6 +433,65 @@ mod oracle {
         }
     }
 
+    /// The escaping `Display` writer: its bytes equal the string path's
+    /// over the same text, however the value splits its writes — whole,
+    /// one `write_str` per char, or split in two at every char boundary
+    /// (which cuts `\r\n` pairs, quote runs and multi-char sequences
+    /// such as a letter plus a combining accent).
+    #[test]
+    fn display_writer_matches_the_string_path() {
+        use std::fmt;
+
+        /// Writes its pieces with one `write_str` call each.
+        struct Pieces(Vec<String>);
+        impl fmt::Display for Pieces {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.iter().try_for_each(|p| f.write_str(p))
+            }
+        }
+
+        fn same<D: fmt::Display + ?Sized>(d: &D) {
+            let mut streamed = Vec::new();
+            serde::write_json_display(d, &mut streamed);
+            let via_string = to_string(&d.to_string()).unwrap();
+            assert_eq!(String::from_utf8(streamed).unwrap(), via_string);
+        }
+
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        let corpus = [
+            "say \"hi\"",
+            "back\\slash",
+            "a\nb\rc\td\r\n",
+            "\u{1}\u{1f}\u{8}\u{c}\u{0}",
+            "h\u{e9}llo \u{2713} \u{1d11e}",
+            "",
+            "\u{7f}/<>",
+            "\"\\\n",
+            "\u{e9}\"\u{1d11e}\u{0}tail",
+            "e\u{301}\u{2028}\u{feff}\u{1f600}",
+            every_ascii.as_str(),
+        ];
+        for text in corpus {
+            same(text);
+            same(&Pieces(text.chars().map(String::from).collect()));
+            for (i, _) in text.char_indices() {
+                let (a, b) = text.split_at(i);
+                same(&Pieces(vec![a.into(), b.into()]));
+            }
+        }
+        // Formatting machinery: `Debug` output carries its own quotes and
+        // backslash escapes, which the writer escapes again.
+        struct Formatted<'a>(&'a str, u32);
+        impl fmt::Display for Formatted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "{:?} x{} {:>5}|", self.0, self.1, self.0)
+            }
+        }
+        for text in corpus {
+            same(&Formatted(text, 42));
+        }
+    }
+
     #[test]
     fn floats() {
         assert_eq!(check(&1.0f64), "1.0");

@@ -589,7 +589,7 @@ fn faults(seed: u64) {
         .with_phase(FaultPhase::partition("partition", 90_000, 95_000));
 
     let mut cfg = WorldConfig::new(netsim::op_i(), seed);
-    cfg.campaign = Some(campaign);
+    cfg.campaign = Some(campaign.into());
     cfg.nas_retx = true;
     cfg.nas_timer_scale = 0.1;
     let mut w = World::new(cfg);

@@ -2,7 +2,7 @@
 //! negation arcs, and empty traces.
 
 use cellstack::{Protocol, RatSystem};
-use monitor::{run_signature, Bank, Monitor, Pattern, Signature, Verdict};
+use monitor::{run_signature, Monitor, Pattern, Signature, Verdict};
 use netsim::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
 use netsim::SimTime;
 
@@ -164,27 +164,6 @@ fn verdicts_are_sticky_once_definite() {
     }
     assert_eq!(m.verdict(), Verdict::Confirmed, "later events cannot undo");
     assert_eq!(m.finish(SimTime::from_secs(99)), Verdict::Confirmed);
-}
-
-#[test]
-fn bank_runs_monitors_online_and_joins_trials() {
-    let confirming = two_step();
-    let refuting = two_step().forbid("any-dial", Pattern::call(CallPhase::Dialed));
-    let mut bank = Bank::new([confirming, refuting]);
-    let mut t = TraceCollector::new();
-    feed_at(&mut t, 500, TraceEvent::Call(CallPhase::Dialed));
-    feed_at(&mut t, 1_000, TraceEvent::Call(CallPhase::Connected));
-    feed_at(&mut t, 2_000, TraceEvent::Call(CallPhase::Released));
-    for e in t.entries() {
-        bank.feed(e);
-    }
-    bank.finish(SimTime::from_secs(10));
-    assert!(bank.all_definite());
-    let reports = bank.reports();
-    assert_eq!(reports[0].verdict, Verdict::Confirmed);
-    assert_eq!(reports[1].verdict, Verdict::Refuted);
-    // One confirmed trial dominates the join.
-    assert_eq!(bank.joined_verdict(), Verdict::Confirmed);
 }
 
 #[test]

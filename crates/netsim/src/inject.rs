@@ -19,6 +19,8 @@
 //!   serialize into a [`CampaignReport`] that is byte-identical across runs
 //!   with the same seed.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -522,8 +524,9 @@ impl CampaignReport {
 /// surrounding simulation.
 #[derive(Clone, Debug)]
 pub struct Adversary {
-    /// The plan being executed.
-    pub campaign: Campaign,
+    /// The plan being executed, shared with every other adversary running
+    /// it (a fleet runs one per UE).
+    pub campaign: Arc<Campaign>,
     rng: StdRng,
     stats: Vec<PhaseStats>,
 }
@@ -531,7 +534,8 @@ pub struct Adversary {
 impl Adversary {
     /// Build an adversary from a campaign; the RNG derives from
     /// `campaign.seed` only.
-    pub fn new(campaign: Campaign) -> Self {
+    pub fn new(campaign: impl Into<Arc<Campaign>>) -> Self {
+        let campaign = campaign.into();
         let seed = campaign.seed;
         Self::with_seed(campaign, seed)
     }
@@ -541,7 +545,8 @@ impl Adversary {
     /// its own fault stream (mixed from the campaign seed and the UE
     /// index) so one shared campaign does not replay identical draw
     /// sequences on a million phones.
-    pub fn with_seed(campaign: Campaign, seed: u64) -> Self {
+    pub fn with_seed(campaign: impl Into<Arc<Campaign>>, seed: u64) -> Self {
+        let campaign = campaign.into();
         let rng = StdRng::seed_from_u64(seed);
         let stats = vec![PhaseStats::default(); campaign.phases.len()];
         Self {

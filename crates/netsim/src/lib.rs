@@ -89,8 +89,7 @@ pub use trace::{
     TraceEvent, TraceType,
 };
 pub use verify::{
-    count_signature, run_signature, Bank, FaultClass, LaneBank, LiveConfig, LiveCounts,
-    MatchedEvent, Monitor, MonitorReport, Pattern, Signature, Step, Verdict, VerdictEvent,
-    VerdictStream,
+    count_signature, run_signature, FaultClass, LaneBank, LiveConfig, LiveCounts, MatchedEvent,
+    Monitor, MonitorReport, Pattern, Signature, Step, Verdict, VerdictEvent, VerdictStream,
 };
 pub use world::{Ev, World, WorldConfig};

@@ -42,6 +42,8 @@
 //! composition (wheel peaks, cascade counts, arena bytes) are quarantined
 //! in [`KernelStats`], which the digest never includes.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -524,21 +526,25 @@ impl FleetSim {
                 cfg
             })
             .collect();
+        // One copy of the campaign for the whole run; every lane's
+        // adversary points at it.
+        let campaign = self.cfg.campaign.clone().map(Arc::new);
+        let shared = Shared {
+            fleet: &self.cfg,
+            cfgs: &cfgs,
+            campaign: campaign.as_ref(),
+            horizon,
+        };
 
         let shards: Vec<ShardOut<A>> = if threads <= 1 {
-            vec![run_shard(&self.cfg, &cfgs, 0, 1, horizon, &make, &fold)]
+            vec![run_shard(&shared, 0, 1, &make, &fold)]
         } else {
-            let fleet = &self.cfg;
-            let cfgs = &cfgs;
+            let shared = &shared;
             let make = &make;
             let fold = &fold;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            run_shard(fleet, cfgs, t as u32, threads, horizon, make, fold)
-                        })
-                    })
+                    .map(|t| scope.spawn(move || run_shard(shared, t as u32, threads, make, fold)))
                     .collect();
                 handles
                     .into_iter()
@@ -608,14 +614,160 @@ struct ShardOut<A> {
     acc: A,
 }
 
+/// What every shard of one run reads.
+struct Shared<'a> {
+    fleet: &'a FleetConfig,
+    /// One world configuration per behavior class.
+    cfgs: &'a [WorldConfig],
+    campaign: Option<&'a Arc<Campaign>>,
+    horizon: SimTime,
+}
+
+/// The counters one shard contributes to the registry, summed per
+/// behavior class in flat arrays and written once when the shard ends
+/// ([`Self::flush`]). Classes are few, so the arrays are small; a lane
+/// costs additions, not registry lookups.
+struct ShardCounters {
+    /// Per class: processed events by kind (`fleet_events_total`).
+    kinds: Vec<[u64; Ev::KIND_NAMES.len()]>,
+    /// Per class: the [`LANE_COUNTERS`] sums.
+    lanes: Vec<[u64; LANE_COUNTERS.len()]>,
+    /// Per class and signature (`class * n_sigs + sig`): confirmed and
+    /// refuted settles.
+    verdicts: Vec<[u64; 2]>,
+    /// Per class: lanes whose monitors were quarantined.
+    poisoned: Vec<u64>,
+    evicted: u64,
+    dropped: u64,
+}
+
+/// Per-lane counters labelled by carrier, in [`ShardCounters::lanes`]
+/// column order.
+const LANE_COUNTERS: [&str; 6] = [
+    "fleet_ue_total",
+    "fleet_lane_events_total",
+    "fleet_calls_total",
+    "fleet_s1_total",
+    "fleet_s6_total",
+    "fleet_blocked_total",
+];
+
+impl ShardCounters {
+    fn new(classes: usize, n_sigs: usize) -> Self {
+        Self {
+            kinds: vec![[0; Ev::KIND_NAMES.len()]; classes],
+            lanes: vec![[0; LANE_COUNTERS.len()]; classes],
+            verdicts: vec![[0; 2]; classes * n_sigs],
+            poisoned: vec![0; classes],
+            evicted: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Add one finished lane of behavior class `class`.
+    fn add_lane(&mut self, class: usize, u: &UeOutcome) {
+        let m = &u.metrics;
+        let values = [
+            1,
+            u.events,
+            m.call_setups.len() as u64,
+            u64::from(m.s1_events),
+            u64::from(m.s6_events),
+            u64::from(m.blocked_requests),
+        ];
+        for (sum, v) in self.lanes[class].iter_mut().zip(values) {
+            *sum += v;
+        }
+        self.evicted += u.trace.evicted();
+        if let Some(counts) = &u.live {
+            let n = counts.confirmed.len();
+            let row = &mut self.verdicts[class * n..(class + 1) * n];
+            for (k, sums) in row.iter_mut().enumerate() {
+                sums[0] += u64::from(counts.confirmed[k]);
+                sums[1] += u64::from(counts.refuted[k]);
+            }
+            self.dropped += counts.stream.dropped;
+            self.poisoned[class] += u64::from(counts.poisoned);
+        }
+    }
+
+    /// Write the sums to `registry`: the series a per-lane fold would
+    /// have created, with the same values. A class that had a lane gets
+    /// every carrier counter, zero or not; verdict, dropped and poisoned
+    /// series appear only once nonzero, and event kinds only when seen.
+    fn flush(
+        self,
+        registry: &mut MetricsRegistry,
+        cfgs: &[WorldConfig],
+        live: Option<&LiveConfig>,
+    ) {
+        let mut any_lane = false;
+        for (class, sums) in self.lanes.iter().enumerate() {
+            if sums[0] == 0 {
+                continue;
+            }
+            any_lane = true;
+            let op = cfgs[class].op.name;
+            for (name, &v) in LANE_COUNTERS.iter().zip(sums) {
+                registry.count(name, vec![("op", op.to_string())], v);
+            }
+            if let Some(cfg) = live {
+                // Per-lane verdict tallies are a pure function of the
+                // lane's event stream, so these series are thread- and
+                // trace-capacity-invariant and safe in the digest.
+                let n = cfg.signatures.len();
+                let row = &self.verdicts[class * n..(class + 1) * n];
+                for (sig, sums) in cfg.signatures.iter().zip(row) {
+                    for (verdict, &v) in ["confirmed", "refuted"].iter().zip(sums) {
+                        if v > 0 {
+                            let labels = vec![
+                                ("sig", sig.name.clone()),
+                                ("op", op.to_string()),
+                                ("verdict", (*verdict).to_string()),
+                            ];
+                            registry.count("fleet_verdicts_total", labels, v);
+                        }
+                    }
+                }
+                if self.poisoned[class] > 0 {
+                    registry.count(
+                        "fleet_monitor_poisoned_total",
+                        vec![("op", op.to_string())],
+                        self.poisoned[class],
+                    );
+                }
+            }
+        }
+        if any_lane {
+            registry.count("fleet_trace_evicted_total", Vec::new(), self.evicted);
+        }
+        if self.dropped > 0 {
+            registry.count("fleet_verdicts_dropped_total", Vec::new(), self.dropped);
+        }
+        for (class, counts) in self.kinds.iter().enumerate() {
+            let op = cfgs[class].op.name;
+            for (i, &c) in counts.iter().enumerate() {
+                if c > 0 {
+                    registry.count(
+                        "fleet_events_total",
+                        vec![
+                            ("kind", Ev::KIND_NAMES[i].to_string()),
+                            ("op", op.to_string()),
+                        ],
+                        c,
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Run shard `shard` of `threads` (round-robin membership: UE `i` belongs
 /// to shard `i % threads`), block by block.
 fn run_shard<A, M, F>(
-    fleet: &FleetConfig,
-    cfgs: &[WorldConfig],
+    shared: &Shared<'_>,
     shard: u32,
     threads: usize,
-    horizon: SimTime,
     make: &M,
     fold: &F,
 ) -> ShardOut<A>
@@ -623,16 +775,20 @@ where
     M: Fn() -> A,
     F: Fn(&mut A, UeOutcome),
 {
+    let Shared {
+        fleet,
+        cfgs,
+        campaign,
+        horizon,
+    } = *shared;
     let n = fleet.n_ues() as u32;
     let ids: Vec<u32> = (shard..n).step_by(threads).collect();
 
     let mut acc = make();
     let mut agg = FleetAgg::default();
     let mut registry = MetricsRegistry::new();
-    // Event-kind counters, attributed per behavior class so they flush
-    // with the class's carrier label (classes are few; the array per
-    // class is small and flat).
-    let mut kind_counts = vec![[0u64; Ev::KIND_NAMES.len()]; cfgs.len()];
+    let live = fleet.live.as_ref();
+    let mut counters = ShardCounters::new(cfgs.len(), live.map_or(0, |l| l.signatures.len()));
     let mut wheel: TimingWheel<(UeId, BlockEv)> = TimingWheel::new();
     let mut arena = LaneArena::new();
     let mut scratch: Vec<Activity> = Vec::new();
@@ -640,7 +796,6 @@ where
     let mut blocks = 0u64;
     let mut bytes_peak = 0usize;
     let mut quarantined = 0u64;
-    let live = fleet.live.as_ref();
 
     for block_ids in ids.chunks(BLOCK) {
         blocks += 1;
@@ -667,12 +822,12 @@ where
             // table iterates in IMSI order.)
             carrier.provision_session(imsi, cfgs[class as usize].mme_remedy);
             let mut ue = Ue::with_seed(UeId(i), imsi, &cfgs[class as usize], mix_seed(fleet.seed, i));
-            if let Some(campaign) = &fleet.campaign {
+            if let Some(campaign) = campaign {
                 // A per-UE fault stream over the shared phase plan, mixed
                 // the same way the signaling seed is, so the adversary's
                 // draws are independent of sharding.
                 ue.adversary = Some(Adversary::with_seed(
-                    campaign.clone(),
+                    Arc::clone(campaign),
                     mix_seed(campaign.seed, i),
                 ));
                 // Phase-end restarts are part of the plan, scheduled up
@@ -743,7 +898,7 @@ where
                 BlockEv::Sim(ev) => {
                     arena.events[slot] += 1;
                     let class = arena.class_of[slot] as usize;
-                    kind_counts[class][ev.kind_index()] += 1;
+                    counters.kinds[class][ev.kind_index()] += 1;
                     let mut ex = Exec {
                         now: at,
                         cfg: &cfgs[class],
@@ -797,61 +952,8 @@ where
                 events: arena.events[slot],
             };
             events_total += outcome.events;
-            let op = || vec![("op", outcome.op_name.to_string())];
-            registry.count("fleet_ue_total", op(), 1);
-            registry.count("fleet_lane_events_total", op(), outcome.events);
-            registry.count("fleet_calls_total", op(), outcome.metrics.call_setups.len() as u64);
-            registry.count("fleet_s1_total", op(), u64::from(outcome.metrics.s1_events));
-            registry.count("fleet_s6_total", op(), u64::from(outcome.metrics.s6_events));
-            registry.count(
-                "fleet_blocked_total",
-                op(),
-                u64::from(outcome.metrics.blocked_requests),
-            );
-            registry.count(
-                "fleet_trace_evicted_total",
-                Vec::new(),
-                outcome.trace.evicted(),
-            );
+            counters.add_lane(arena.class_of[slot] as usize, &outcome);
             registry.observe("fleet_lane_events", Vec::new(), outcome.events);
-            if let (Some(cfg), Some(counts)) = (live, outcome.live.as_ref()) {
-                // Per-lane verdict tallies are a pure function of the
-                // lane's event stream, so these series are thread- and
-                // trace-capacity-invariant and safe in the digest.
-                for (k, sig) in cfg.signatures.iter().enumerate() {
-                    let sig_labels = |verdict: &str| {
-                        vec![
-                            ("sig", sig.name.clone()),
-                            ("op", outcome.op_name.to_string()),
-                            ("verdict", verdict.to_string()),
-                        ]
-                    };
-                    if counts.confirmed[k] > 0 {
-                        registry.count(
-                            "fleet_verdicts_total",
-                            sig_labels("confirmed"),
-                            u64::from(counts.confirmed[k]),
-                        );
-                    }
-                    if counts.refuted[k] > 0 {
-                        registry.count(
-                            "fleet_verdicts_total",
-                            sig_labels("refuted"),
-                            u64::from(counts.refuted[k]),
-                        );
-                    }
-                }
-                if counts.stream.dropped > 0 {
-                    registry.count(
-                        "fleet_verdicts_dropped_total",
-                        Vec::new(),
-                        counts.stream.dropped,
-                    );
-                }
-                if counts.poisoned {
-                    registry.count("fleet_monitor_poisoned_total", op(), 1);
-                }
-            }
             agg.observe_ue(&outcome);
             fold(&mut acc, outcome);
         }
@@ -861,21 +963,7 @@ where
         arena.banks = banks;
     }
 
-    for (class, counts) in kind_counts.iter().enumerate() {
-        let op = cfgs[class].op.name;
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                registry.count(
-                    "fleet_events_total",
-                    vec![
-                        ("kind", Ev::KIND_NAMES[i].to_string()),
-                        ("op", op.to_string()),
-                    ],
-                    c,
-                );
-            }
-        }
-    }
+    counters.flush(&mut registry, cfgs, live);
 
     ShardOut {
         agg,
@@ -1323,6 +1411,134 @@ mod tests {
         );
         // The poisoned lane still simulated to completion.
         assert!(ues[1].events > 0);
+    }
+
+    /// The per-lane registry fold the kernel ran before it summed lanes
+    /// per shard: one registry call per series per finished lane. Kept as
+    /// the oracle for [`ShardCounters`].
+    fn legacy_lane_fold(registry: &mut MetricsRegistry, live: Option<&LiveConfig>, u: &UeOutcome) {
+        let op = || vec![("op", u.op_name.to_string())];
+        registry.count("fleet_ue_total", op(), 1);
+        registry.count("fleet_lane_events_total", op(), u.events);
+        registry.count(
+            "fleet_calls_total",
+            op(),
+            u.metrics.call_setups.len() as u64,
+        );
+        registry.count("fleet_s1_total", op(), u64::from(u.metrics.s1_events));
+        registry.count("fleet_s6_total", op(), u64::from(u.metrics.s6_events));
+        registry.count(
+            "fleet_blocked_total",
+            op(),
+            u64::from(u.metrics.blocked_requests),
+        );
+        registry.count("fleet_trace_evicted_total", Vec::new(), u.trace.evicted());
+        registry.observe("fleet_lane_events", Vec::new(), u.events);
+        if let (Some(cfg), Some(counts)) = (live, u.live.as_ref()) {
+            for (k, sig) in cfg.signatures.iter().enumerate() {
+                let sig_labels = |verdict: &str| {
+                    vec![
+                        ("sig", sig.name.clone()),
+                        ("op", u.op_name.to_string()),
+                        ("verdict", verdict.to_string()),
+                    ]
+                };
+                if counts.confirmed[k] > 0 {
+                    registry.count(
+                        "fleet_verdicts_total",
+                        sig_labels("confirmed"),
+                        u64::from(counts.confirmed[k]),
+                    );
+                }
+                if counts.refuted[k] > 0 {
+                    registry.count(
+                        "fleet_verdicts_total",
+                        sig_labels("refuted"),
+                        u64::from(counts.refuted[k]),
+                    );
+                }
+            }
+            if counts.stream.dropped > 0 {
+                registry.count(
+                    "fleet_verdicts_dropped_total",
+                    Vec::new(),
+                    counts.stream.dropped,
+                );
+            }
+            if counts.poisoned {
+                registry.count("fleet_monitor_poisoned_total", op(), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn shard_counters_render_like_the_per_lane_fold() {
+        use crate::inject::{FaultPhase, FaultPolicy, PolicyRule};
+        use crate::trace::CallPhase;
+        use crate::verify::pattern::Pattern;
+        use crate::verify::Signature;
+
+        let mut live = LiveConfig::new(vec![
+            Signature::new("call-episode")
+                .step("connected", Pattern::call(CallPhase::Connected))
+                .step("released", Pattern::call(CallPhase::Released)),
+            Signature::new("call-stays-on-3g")
+                .step("connected", Pattern::call(CallPhase::Connected))
+                .step("released", Pattern::call(CallPhase::Released))
+                .forbid("back on 4G", Pattern::camped_on(RatSystem::Lte4g)),
+        ]);
+        live.verdict_cap = 1;
+        live.poison_ues = vec![4, 9];
+        let campaign = Campaign::new("lossy", 99).with_phase(FaultPhase::new(
+            "lossy-all",
+            1_000,
+            86_400_000,
+            vec![PolicyRule::any(FaultPolicy::dropping(0.2))],
+        ));
+        let specs: Vec<UeSpec> = (0..4).flat_map(|_| small_specs()).collect();
+
+        for threads in [1, 3] {
+            let mut cfg = FleetConfig::new(2014, 2, threads, specs.clone());
+            cfg.trace_capacity = Some(4);
+            cfg.live = Some(live.clone());
+            cfg.campaign = Some(campaign.clone());
+            let (report, shards) = FleetSim::new(cfg).run_fold(MetricsRegistry::new, |r, u| {
+                legacy_lane_fold(r, Some(&live), &u)
+            });
+            let mut oracle = MetricsRegistry::new();
+            for shard in &shards {
+                oracle.merge(shard);
+            }
+            // Event kinds are counted per event, not per lane: the oracle
+            // cannot see them, so they are left out of the comparison.
+            let flushed: String = report
+                .metrics
+                .render()
+                .lines()
+                .filter(|l| !l.starts_with("fleet_events_total"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let oracle = oracle.render();
+            assert_eq!(flushed, oracle, "threads={threads}");
+            for series in [
+                "fleet_verdicts_total{op=\"OP-I\",sig=\"call-episode\",verdict=\"confirmed\"}",
+                "fleet_verdicts_total{op=\"OP-II\",sig=\"call-stays-on-3g\",verdict=\"refuted\"}",
+                "fleet_verdicts_dropped_total ",
+                "fleet_monitor_poisoned_total{op=\"OP-II\"} 1",
+                "fleet_monitor_poisoned_total{op=\"OP-I\"} 1",
+                "fleet_trace_evicted_total ",
+                "fleet_s1_total{op=\"OP-I\"} ",
+            ] {
+                assert!(oracle.contains(series), "{series} missing from\n{oracle}");
+            }
+        }
+
+        // Every lane's monitors point at the configuration's signatures.
+        let bank = LaneBank::new(&live, 0);
+        assert_eq!(bank.monitors().len(), live.signatures.len());
+        for (m, sig) in bank.monitors().iter().zip(&live.signatures) {
+            assert!(Arc::ptr_eq(m.signature(), sig));
+        }
     }
 
     #[test]

@@ -232,7 +232,7 @@ struct EntryWire<'a> {
     trace_type: TraceType,
     system: RatSystem,
     module: Protocol,
-    desc: String,
+    desc: Desc<'a>,
     event: WireEvent<'a>,
 }
 
@@ -249,7 +249,7 @@ impl TraceEntry {
             trace_type: self.trace_type,
             system: self.system,
             module: self.module,
-            desc: self.desc().to_string(),
+            desc: self.desc(),
             event: WireEvent(&self.event),
         }
     }
@@ -266,7 +266,19 @@ impl Serialize for TraceEntry {
 }
 
 /// The rendered description of a [`TraceEntry`] (see [`TraceEntry::desc`]).
+/// Serialized, it is a JSON string; compact JSON writes the text straight
+/// into the output buffer, escaping it as it renders.
 pub struct Desc<'a>(&'a TraceEntry);
+
+impl Serialize for Desc<'_> {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut Vec<u8>) {
+        serde::write_json_display(self, out);
+    }
+}
 
 impl fmt::Display for Desc<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

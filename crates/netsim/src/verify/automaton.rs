@@ -9,6 +9,8 @@
 //! fires or a timed step's deadline passes. [`Monitor::finish`] closes
 //! the trace and settles anything still pending.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize, Value};
 
 use crate::trace::{TraceEntry, WireEvent};
@@ -132,7 +134,7 @@ impl Serialize for MatchedEvent {
         Value::Map(vec![
             ("ts".into(), e.ts.to_value()),
             ("step".into(), self.step.to_value()),
-            ("desc".into(), Value::Str(e.desc().to_string())),
+            ("desc".into(), e.desc().to_value()),
             ("event".into(), WireEvent(&e.event).to_value()),
         ])
     }
@@ -166,10 +168,11 @@ enum Refutation {
     Expired { at: SimTime, deadline: SimTime, ended: bool },
 }
 
-/// Online evaluator for one [`Signature`].
+/// Online evaluator for one [`Signature`]. The signature is shared, not
+/// owned: a fleet's lanes all point at one copy of each automaton.
 #[derive(Clone, Debug)]
 pub struct Monitor {
-    sig: Signature,
+    sig: Arc<Signature>,
     next: usize,
     anchor: SimTime,
     /// The entry that satisfied each completed step, in step order.
@@ -181,6 +184,11 @@ pub struct Monitor {
 impl Monitor {
     /// A monitor at the start of `sig`, anchored at trace time zero.
     pub fn new(sig: Signature) -> Self {
+        Self::shared(Arc::new(sig))
+    }
+
+    /// A monitor at the start of a signature other monitors share.
+    pub(crate) fn shared(sig: Arc<Signature>) -> Self {
         let mut m = Self {
             sig,
             next: 0,
@@ -214,6 +222,12 @@ impl Monitor {
     /// The current verdict.
     pub fn verdict(&self) -> Verdict {
         self.verdict
+    }
+
+    /// The signature this monitor evaluates.
+    #[cfg(test)]
+    pub(crate) fn signature(&self) -> &Arc<Signature> {
+        &self.sig
     }
 
     fn deadline(&self) -> Option<SimTime> {

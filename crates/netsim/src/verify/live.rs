@@ -34,9 +34,9 @@ use crate::SimTime;
 #[derive(Clone, Debug, Default)]
 pub struct LiveConfig {
     /// The signatures every lane evaluates, in a fixed order (verdict
-    /// tallies are indexed by position in this list). Shared, not cloned
-    /// per lane.
-    pub signatures: Arc<Vec<Signature>>,
+    /// tallies are indexed by position in this list). Each lane's monitors
+    /// point at these; no lane copies an automaton.
+    pub signatures: Vec<Arc<Signature>>,
     /// Backpressure cap on the per-lane verdict sample stream: at most
     /// this many settle events are retained per UE (the tallies stay
     /// exact regardless; overflow only bumps [`VerdictStream::dropped`]).
@@ -56,7 +56,7 @@ impl LiveConfig {
     /// per-lane verdict sample cap.
     pub fn new(signatures: Vec<Signature>) -> Self {
         Self {
-            signatures: Arc::new(signatures),
+            signatures: signatures.into_iter().map(Arc::new).collect(),
             verdict_cap: 32,
             keep_spans: false,
             poison_ues: Vec::new(),
@@ -143,7 +143,7 @@ impl LaneBank {
             monitors: cfg
                 .signatures
                 .iter()
-                .map(|s| Monitor::new(s.clone()))
+                .map(|s| Monitor::shared(Arc::clone(s)))
                 .collect(),
             counts: LiveCounts {
                 confirmed: vec![0; n],
@@ -155,6 +155,12 @@ impl LaneBank {
             keep_spans: cfg.keep_spans,
             chaos_panic: cfg.poison_ues.contains(&ue),
         }
+    }
+
+    /// The bank's monitors, one per configured signature.
+    #[cfg(test)]
+    pub(crate) fn monitors(&self) -> &[Monitor] {
+        &self.monitors
     }
 
     /// Whether the bank has been quarantined.
@@ -190,7 +196,7 @@ impl LaneBank {
     /// Feed one entry to every monitor, restarting any that settles —
     /// the exact `count_signature` loop body, applied per signature.
     /// Stepless signatures are skipped (the scanner counts them as zero).
-    fn feed(&mut self, sigs: &[Signature], entry: &TraceEntry) {
+    fn feed(&mut self, sigs: &[Arc<Signature>], entry: &TraceEntry) {
         if self.chaos_panic {
             panic!("chaos: injected monitor panic");
         }
@@ -217,7 +223,7 @@ impl LaneBank {
             entries.clear();
             return false;
         }
-        let sigs: &[Signature] = &cfg.signatures;
+        let sigs = &cfg.signatures;
         let result = catch_unwind(AssertUnwindSafe(|| {
             for e in entries.iter() {
                 self.feed(sigs, e);
@@ -239,7 +245,7 @@ impl LaneBank {
         if self.counts.poisoned {
             return;
         }
-        let sigs: &[Signature] = &cfg.signatures;
+        let sigs = &cfg.signatures;
         for (k, sig) in sigs.iter().enumerate() {
             if sig.steps.is_empty() {
                 continue;

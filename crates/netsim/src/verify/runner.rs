@@ -50,56 +50,6 @@ pub fn count_signature(sig: &Signature, entries: &[TraceEntry], end: SimTime) ->
     count
 }
 
-/// A bank of monitors evaluated online over one shared feed — the
-/// streaming shape: each entry is offered to every still-undecided
-/// monitor as it arrives.
-#[derive(Clone, Debug, Default)]
-pub struct Bank {
-    monitors: Vec<Monitor>,
-}
-
-impl Bank {
-    /// A bank over the given signatures.
-    pub fn new(sigs: impl IntoIterator<Item = Signature>) -> Self {
-        Self {
-            monitors: sigs.into_iter().map(Monitor::new).collect(),
-        }
-    }
-
-    /// Offer one entry to every monitor.
-    pub fn feed(&mut self, entry: &TraceEntry) {
-        for m in &mut self.monitors {
-            m.feed(entry);
-        }
-    }
-
-    /// Close the feed at `end`.
-    pub fn finish(&mut self, end: SimTime) {
-        for m in &mut self.monitors {
-            m.finish(end);
-        }
-    }
-
-    /// Whether every monitor has reached a definite verdict (the feed can
-    /// stop early).
-    pub fn all_definite(&self) -> bool {
-        self.monitors.iter().all(|m| m.verdict().is_definite())
-    }
-
-    /// Reports of all monitors, in signature order.
-    pub fn reports(&self) -> Vec<MonitorReport> {
-        self.monitors.iter().map(Monitor::report).collect()
-    }
-
-    /// Joined verdict across all monitors in the bank (for trial
-    /// replication of one signature).
-    pub fn joined_verdict(&self) -> Verdict {
-        self.monitors
-            .iter()
-            .fold(Verdict::Inconclusive, |acc, m| acc.join(m.verdict()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,6 +16,8 @@
 //! phone's bundle. For many phones against one carrier, see
 //! [`crate::sim::fleet::FleetSim`].
 
+use std::sync::Arc;
+
 use cellstack::{
     Domain, NasMessage, NasTimer, PdpDeactivationCause, RatSystem, UpdateKind,
 };
@@ -226,7 +228,8 @@ pub struct WorldConfig {
     /// Declarative fault-injection campaign. When set, the adversary
     /// (with its own RNG stream) supersedes `inject_ul_4g`/`inject_dl_4g`
     /// and covers every signaling leg, not just 4G.
-    pub campaign: Option<Campaign>,
+    /// Shared: the phone's adversary points at it rather than copying it.
+    pub campaign: Option<Arc<Campaign>>,
     /// Model the 3GPP NAS retransmission timers (T3410/T3411/T3402 for
     /// attach, T3430 for TAU, T3417 for bearer activation) instead of the
     /// legacy fixed-interval attach retry.

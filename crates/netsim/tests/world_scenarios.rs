@@ -687,7 +687,7 @@ mod campaign_tests {
 
     fn campaign_run(seed: u64) -> (String, u32, usize) {
         let mut cfg = WorldConfig::new(op_i(), seed);
-        cfg.campaign = Some(mixed_campaign(seed));
+        cfg.campaign = Some(mixed_campaign(seed).into());
         cfg.nas_retx = true;
         cfg.nas_timer_scale = 0.1;
         let mut w = World::new(cfg);
@@ -716,7 +716,9 @@ mod campaign_tests {
     fn partition_blocks_attach_until_it_lifts() {
         let mut cfg = WorldConfig::new(op_i(), 44);
         cfg.campaign = Some(
-            Campaign::new("part", 44).with_phase(FaultPhase::partition("radio-dead", 0, 5_000)),
+            Campaign::new("part", 44)
+                .with_phase(FaultPhase::partition("radio-dead", 0, 5_000))
+                .into(),
         );
         cfg.nas_retx = true;
         cfg.nas_timer_scale = 0.1;
@@ -739,12 +741,16 @@ mod campaign_tests {
     #[test]
     fn mme_restart_after_outage_detaches_at_next_tau() {
         let mut cfg = WorldConfig::new(op_i(), 45);
-        cfg.campaign = Some(Campaign::new("outage", 45).with_phase(FaultPhase::outage(
-            "mme-down",
-            10_000,
-            20_000,
-            vec![NodeId::Mme],
-        )));
+        cfg.campaign = Some(
+            Campaign::new("outage", 45)
+                .with_phase(FaultPhase::outage(
+                    "mme-down",
+                    10_000,
+                    20_000,
+                    vec![NodeId::Mme],
+                ))
+                .into(),
+        );
         let mut w = World::new(cfg);
         w.schedule_in(0, Ev::PowerOn(RatSystem::Lte4g));
         w.run_until(SimTime::from_secs(8));
@@ -761,16 +767,20 @@ mod campaign_tests {
     #[test]
     fn corrupted_tau_is_rejected_and_detaches() {
         let mut cfg = WorldConfig::new(op_i(), 46);
-        cfg.campaign = Some(Campaign::new("corrupt", 46).with_phase(FaultPhase::new(
-            "corrupt-mobility",
-            9_000,
-            40_000,
-            vec![PolicyRule {
-                leg: Some(Leg::Ul4g),
-                class: Some(MsgClass::Mobility),
-                policy: FaultPolicy::corrupting(1.0),
-            }],
-        )));
+        cfg.campaign = Some(
+            Campaign::new("corrupt", 46)
+                .with_phase(FaultPhase::new(
+                    "corrupt-mobility",
+                    9_000,
+                    40_000,
+                    vec![PolicyRule {
+                        leg: Some(Leg::Ul4g),
+                        class: Some(MsgClass::Mobility),
+                        policy: FaultPolicy::corrupting(1.0),
+                    }],
+                ))
+                .into(),
+        );
         let mut w = World::new(cfg);
         w.schedule_in(0, Ev::PowerOn(RatSystem::Lte4g));
         w.run_until(SimTime::from_secs(8));
@@ -789,12 +799,16 @@ mod campaign_tests {
     #[test]
     fn nas_retx_rides_out_lossy_attach_uplink() {
         let mut cfg = WorldConfig::new(op_i(), 47);
-        cfg.campaign = Some(Campaign::new("lossy", 47).with_phase(FaultPhase::new(
-            "lossy-ul",
-            0,
-            120_000,
-            vec![PolicyRule::on_leg(Leg::Ul4g, FaultPolicy::dropping(0.4))],
-        )));
+        cfg.campaign = Some(
+            Campaign::new("lossy", 47)
+                .with_phase(FaultPhase::new(
+                    "lossy-ul",
+                    0,
+                    120_000,
+                    vec![PolicyRule::on_leg(Leg::Ul4g, FaultPolicy::dropping(0.4))],
+                ))
+                .into(),
+        );
         cfg.nas_retx = true;
         cfg.nas_timer_scale = 0.1;
         let mut w = World::new(cfg);
@@ -818,15 +832,19 @@ mod campaign_tests {
         // never complete, which the legacy 4G-only injection could not
         // express.
         let mut cfg = WorldConfig::new(op_i(), 48);
-        cfg.campaign = Some(Campaign::new("3g-dead", 48).with_phase(FaultPhase::new(
-            "ps-ul-dead",
-            0,
-            600_000,
-            vec![
-                PolicyRule::on_leg(Leg::Ul4g, FaultPolicy::dropping(1.0)),
-                PolicyRule::on_leg(Leg::Ul3gPs, FaultPolicy::dropping(1.0)),
-            ],
-        )));
+        cfg.campaign = Some(
+            Campaign::new("3g-dead", 48)
+                .with_phase(FaultPhase::new(
+                    "ps-ul-dead",
+                    0,
+                    600_000,
+                    vec![
+                        PolicyRule::on_leg(Leg::Ul4g, FaultPolicy::dropping(1.0)),
+                        PolicyRule::on_leg(Leg::Ul3gPs, FaultPolicy::dropping(1.0)),
+                    ],
+                ))
+                .into(),
+        );
         let mut w = World::new(cfg);
         w.schedule_in(0, Ev::PowerOn(RatSystem::Lte4g));
         w.run_until(SimTime::from_secs(300));
